@@ -10,50 +10,23 @@ threshold min over components of mu_i / N_i.
 
 Background: for an isolated singularity this ratio is the weight of the
 associated relative volume form at the corresponding point of the link,
-so the minimality locus computed here matches the minimal-weight
-skeleton of that form; the identification map between the two pictures
-is deliberately not implemented, only the numerics on each side.
+so the threshold and its locus are the minimal weight and the
+minimal-weight skeleton of that form, and `lct`/`sk_pair` compute them
+as such; the identification map between the two pictures is
+deliberately not implemented, only the numerics on each side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .essential import Subcomplex, subcomplex
+from .essential import Subcomplex, ks_skeleton, min_weight
 from .model import KIND_LOG_RESOLUTION, SncdModel, connected_components
+from .series import AlphaVector
 
-
-@dataclass(frozen=True)
-class QuasiMonomialPoint:
-    """Unnormalized nonnegative weights on the vertices of a stratum."""
-
-    stratum: str
-    alpha: dict[str, Fraction]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "alpha", {v: Fraction(a) for v, a in self.alpha.items()}
-        )
-
-
-def _check(model: SncdModel, x: QuasiMonomialPoint):
-    if model.kind != KIND_LOG_RESOLUTION:
-        raise DomainError(
-            f"quasi-monomial weights need a log-resolution model, got kind "
-            f"{model.kind!r}"
-        )
-    s = model.stratum(x.stratum)
-    if set(x.alpha) != set(s.vertices):
-        raise DomainError(
-            f"weights {sorted(x.alpha)} do not match the vertices "
-            f"{list(s.vertices)} of stratum {x.stratum!r}"
-        )
-    if any(a < 0 for a in x.alpha.values()):
-        raise DomainError("weights must be nonnegative")
-    if not any(a > 0 for a in x.alpha.values()):
-        raise DomainError("weights must not all vanish")
+# unnormalized nonnegative weights on the vertices of a stratum, not all zero
+QuasiMonomialPoint = AlphaVector
 
 
 def _require_log_resolution(model: SncdModel):
@@ -63,8 +36,22 @@ def _require_log_resolution(model: SncdModel):
         )
 
 
+def _pairing(model: SncdModel, x: QuasiMonomialPoint, datum: str) -> Fraction:
+    """sum(alpha_j * d_j) for the component datum d = "mu" or "N"."""
+    _require_log_resolution(model)
+    s = model.stratum(x.stratum)
+    if set(x.alpha) != set(s.vertices):
+        raise DomainError(
+            f"weights {sorted(x.alpha)} do not match the vertices "
+            f"{list(s.vertices)} of stratum {x.stratum!r}"
+        )
+    return sum(x.alpha[v] * getattr(model.component(v), datum) for v in s.vertices)
+
+
 def lct(model: SncdModel) -> Fraction:
     """Log canonical threshold: min over components of mu_i / N_i.
+
+    This is the minimal weight of the pair's relative volume form.
 
     >>> from .complexes import graph_model
     >>> node = graph_model("log-resolution", 1, 2,
@@ -74,27 +61,17 @@ def lct(model: SncdModel) -> Fraction:
     Fraction(1, 1)
     """
     _require_log_resolution(model)
-    if not model.components:
-        raise DomainError("model has no components")
-    return min(Fraction(c.mu, c.N) for c in model.components)
+    return min_weight(model)
 
 
 def log_discrepancy(model: SncdModel, x: QuasiMonomialPoint) -> Fraction:
     """sum(alpha_j * mu_j): the log discrepancy of the valuation."""
-    _check(model, x)
-    return sum(
-        x.alpha[v] * model.component(v).mu
-        for v in model.stratum(x.stratum).vertices
-    )
+    return _pairing(model, x, "mu")
 
 
 def intersection_order(model: SncdModel, x: QuasiMonomialPoint) -> Fraction:
     """sum(alpha_j * N_j): the valuation of the resolved divisor."""
-    _check(model, x)
-    return sum(
-        x.alpha[v] * model.component(v).N
-        for v in model.stratum(x.stratum).vertices
-    )
+    return _pairing(model, x, "N")
 
 
 def weight_qm(model: SncdModel, x: QuasiMonomialPoint) -> Fraction:
@@ -104,29 +81,13 @@ def weight_qm(model: SncdModel, x: QuasiMonomialPoint) -> Fraction:
     exactly when every vertex carrying positive weight has the minimal
     ratio.
     """
-    _check(model, x)
-    s = model.stratum(x.stratum)
-    num = Fraction(0)
-    den = Fraction(0)
-    for v in s.vertices:
-        c = model.component(v)
-        num += x.alpha[v] * c.mu
-        den += x.alpha[v] * c.N
-    return num / den
+    return log_discrepancy(model, x) / intersection_order(model, x)
 
 
 def sk_pair(model: SncdModel) -> Subcomplex:
-    """Strata all of whose vertices realize the threshold ratio; face-closed."""
-    lo = lct(model)
-    chosen = [
-        s.id
-        for s in model.strata
-        if all(
-            Fraction(model.component(v).mu, model.component(v).N) == lo
-            for v in s.vertices
-        )
-    ]
-    return subcomplex(model, chosen)
+    """The threshold locus: the minimal-weight skeleton of the pair; face-closed."""
+    _require_log_resolution(model)
+    return ks_skeleton(model)
 
 
 def connectedness_report(model: SncdModel) -> list[tuple[frozenset[str], bool]]:

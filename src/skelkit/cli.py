@@ -77,6 +77,15 @@ def _load_form(path) -> essential.FormData:
     return essential.FormData(doc["m"], mu, flags["touches_zero"], flags["touches_pole"])
 
 
+def _load_valid(path) -> SncdModel:
+    """Load a model and reject it with its violation list unless it validates."""
+    model = load_model(path)
+    report = validate(model)
+    if not report.ok:
+        raise DomainError(f"{path} is not a valid model:\n{report}")
+    return model
+
+
 def _write_model(model: SncdModel, out_path, summary: str):
     text = serialize_model(model)
     if out_path:
@@ -94,7 +103,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_info(args) -> int:
-    model = load_model(args.model)
+    model = _load_valid(args.model)
     print(f"kind: {model.kind}")
     print(f"m: {model.m}")
     print(f"ambient_dim: {model.ambient_dim}")
@@ -106,7 +115,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_weight(args) -> int:
-    model = load_model(args.model)
+    model = _load_valid(args.model)
     alpha = _parse_tuple(model, args.stratum, args.alpha)
     x = skeleton.SkeletonPoint(args.stratum, alpha)
     print(format_fraction(skeleton.weight(model, x)))
@@ -114,7 +123,7 @@ def cmd_weight(args) -> int:
 
 
 def cmd_retract(args) -> int:
-    model = load_model(args.model)
+    model = _load_valid(args.model)
     values = _parse_tuple(model, args.stratum, args.values)
     x = skeleton.retract(model, skeleton.PointSpec(args.stratum, values))
     s = model.stratum(x.stratum)
@@ -124,13 +133,13 @@ def cmd_retract(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    model = load_model(args.model)
+    model = _load_valid(args.model)
     print(skeleton.classify_face(model, args.stratum))
     return 0
 
 
 def cmd_blowup(args) -> int:
-    model = load_model(args.model)
+    model = _load_valid(args.model)
     if args.stratum and args.point:
         raise DomainError("choose either --stratum or --point, not both")
     if args.stratum:
@@ -151,7 +160,7 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    model = load_model(args.model)
+    model = _load_valid(args.model)
     alpha = _parse_tuple(model, args.stratum, args.alpha)
     x = skeleton.SkeletonPoint(args.stratum, alpha)
     final, comp_id, trace = modify.reduce_to_divisorial(model, x)
@@ -167,19 +176,16 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_ks(args) -> int:
-    model = load_model(args.model)
+    model = _load_valid(args.model)
     form = _load_form(args.form) if args.form else None
     lo = essential.min_weight(model, form)
     sub = essential.ks_skeleton(model, form)
-    ids = ",".join(sorted(sub.strata))
-    connected = essential.is_connected(model, sub)
-    tail = "true" if connected else ("false (empty)" if sub.empty else "false")
-    print(f"min={format_fraction(lo)}; strata={{{ids}}}; connected={tail}")
+    _print_subcomplex(sub, model, prefix=f"min={format_fraction(lo)}; ")
     return 0
 
 
 def cmd_essential(args) -> int:
-    model = load_model(args.model)
+    model = _load_valid(args.model)
     forms = [_load_form(p) for p in args.form]
     sub = essential.essential_skeleton(model, forms)
     _print_subcomplex(sub, model)
@@ -187,7 +193,7 @@ def cmd_essential(args) -> int:
 
 
 def cmd_lct(args) -> int:
-    model = load_model(args.model)
+    model = _load_valid(args.model)
     threshold = birational.lct(model)
     pair = birational.sk_pair(model)
     ids = ",".join(sorted(pair.strata))
@@ -196,7 +202,7 @@ def cmd_lct(args) -> int:
 
 
 def cmd_report(args) -> int:
-    model = load_model(args.model)
+    model = _load_valid(args.model)
     for block, ok in birational.connectedness_report(model):
         ids = ",".join(sorted(block))
         print(f"component {{{ids}}}: threshold locus connected={str(ok).lower()}")
@@ -204,7 +210,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_export(args) -> int:
-    model = load_model(args.model)
+    model = _load_valid(args.model)
     if args.format == "structured":
         text = serialize_model(model)
     else:
@@ -218,14 +224,10 @@ def cmd_export(args) -> int:
 
 def _to_dot(model: SncdModel) -> str:
     """Graphviz document: one node per stratum, edges along the face maps."""
-    marked: set[str] = set()
     try:
-        if model.kind == "log-resolution":
-            marked = set(birational.sk_pair(model).strata)
-        else:
-            marked = set(essential.ks_skeleton(model).strata)
+        marked = essential.ks_skeleton(model).strata
     except DomainError:
-        pass  # pole-carrying data has no marked locus
+        marked = frozenset()  # pole-carrying data has no marked locus
     lines = ["graph dual_complex {"]
     for s in model.strata:
         if len(s.vertices) == 1:

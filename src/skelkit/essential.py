@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .model import SncdModel, Stratum, connected_components, validate
+from .model import SncdModel, Stratum, _face_edges, connected_components, validate
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,8 @@ class Subcomplex:
 def subcomplex(model: SncdModel, stratum_ids) -> Subcomplex:
     """Build a subcomplex, checking face-closure against the model."""
     ids = frozenset(stratum_ids)
-    for sid in ids:
-        s = model.stratum(sid)
-        for v in s.vertices:
-            if len(s.vertices) == 1:
-                continue
-            fid = s.face_map.get(v)
-            if fid not in ids:
-                raise DomainError(
-                    f"stratum set is not face-closed: {sid!r} is included but "
-                    f"its face {fid!r} is not"
-                )
+    for _ in _face_edges(model, ids):
+        pass
     return Subcomplex(ids)
 
 

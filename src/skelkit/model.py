@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import DomainError
 from .series import SeriesPair
@@ -205,15 +205,15 @@ def is_maximal(model: SncdModel, stratum_id: str) -> bool:
 def connected_components(
     model: SncdModel, stratum_ids: Iterable[str]
 ) -> list[frozenset[str]]:
-    """Partition a set of strata under the symmetric closure of the face relation.
+    """Partition a face-closed set of strata under the face relation.
 
     Two strata in the input are adjacent iff one is an iterated face of
-    the other; blocks are returned sorted by their smallest member so
-    the output is deterministic.
+    the other.  On a face-closed set that is the closure of the face-map
+    edges, which are all this walks; a stratum whose face is missing
+    from the input raises DomainError.  Blocks are returned sorted by
+    their smallest member so the output is deterministic.
     """
-    ids = list(dict.fromkeys(stratum_ids))
-    for sid in ids:
-        model.stratum(sid)  # raises DomainError on unknown ids
+    ids = dict.fromkeys(stratum_ids)
     parent = {sid: sid for sid in ids}
 
     def find(a):
@@ -222,30 +222,31 @@ def connected_components(
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    id_set = set(ids)
-    for sid in ids:
-        s = model.stratum(sid)
-        # adjacency via every iterated face present in the input
-        for k in range(1, len(s.vertices) + 1):
-            for keep in _subsets(s.vertices, k):
-                fid = face(model, sid, keep)
-                if fid in id_set and fid != sid:
-                    union(sid, fid)
+    for sid, fid in _face_edges(model, ids):
+        parent[find(fid)] = find(sid)
     blocks: dict[str, set[str]] = {}
     for sid in ids:
         blocks.setdefault(find(sid), set()).add(sid)
     return sorted((frozenset(b) for b in blocks.values()), key=lambda b: min(b))
 
 
-def _subsets(items: Sequence[str], size: int):
-    from itertools import combinations
+def _face_edges(model: SncdModel, ids) -> Iterator[tuple[str, str]]:
+    """(stratum, face) for every face map of a stratum set; raises unless face-closed.
 
-    return combinations(items, size)
+    `ids` is a set or a dict keyed by stratum id.
+    """
+    for sid in ids:
+        s = model.stratum(sid)
+        if s.r < 2:
+            continue
+        for v in s.vertices:
+            fid = s.face_map.get(v)
+            if fid not in ids:
+                raise DomainError(
+                    f"stratum set is not face-closed: {sid!r} is included but "
+                    f"its face {fid!r} is not"
+                )
+            yield sid, fid
 
 
 def validate(model: SncdModel) -> ValidationReport:

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .errors import DomainError, UnsupportedCenterError
 from .model import PrimeComponent, SncdModel, Stratum, cofaces, face, is_maximal
-from .series import SeriesPair, Support
+from .series import SeriesPair, Support, reduce_support
 from .skeleton import SkeletonPoint, check_point, value_on_component
 
 
@@ -95,23 +96,36 @@ def _fresh_component_id(model: SncdModel) -> str:
     return f"exc{k}"
 
 
-def _fresh_stratum_id(base: str, taken: set[str]) -> str:
-    if base not in taken:
-        taken.add(base)
-        return base
-    k = 2
-    while f"{base}~{k}" in taken:
+def _fresh_stratum_id(vertices: tuple[str, ...], taken: set[str]) -> str:
+    """Name a new stratum after its vertices, avoiding and then reserving `taken`."""
+    base = f"v_{vertices[0]}" if len(vertices) == 1 else "f_" + "_".join(vertices)
+    name, k = base, 1
+    while name in taken:
         k += 1
-    taken.add(f"{base}~{k}")
-    return f"{base}~{k}"
+        name = f"{base}~{k}"
+    taken.add(name)
+    return name
 
 
-def _proper_subsets(vertices: tuple[str, ...]):
-    """Proper subsets of a vertex tuple, in the tuple's order, smallest first."""
-    from itertools import combinations
-
-    for k in range(len(vertices)):
+def _subsets(vertices: tuple[str, ...], largest: int):
+    """Subsets of at most `largest` vertices, in the tuple's order, smallest first."""
+    for k in range(largest + 1):
         yield from combinations(vertices, k)
+
+
+def _with_vertex(
+    model: SncdModel, e_id: str, center: tuple[str, ...], mu_e: int,
+    strata: tuple[Stratum, ...],
+) -> SncdModel:
+    """The model with new component e_id over `center` and the given strata."""
+    N_e = sum(model.component(v).N for v in center)
+    return SncdModel(
+        model.kind,
+        model.m,
+        model.ambient_dim,
+        model.components + (PrimeComponent(e_id, e_id, N_e, mu_e),),
+        strata,
+    )
 
 
 def _transform_support(
@@ -134,8 +148,6 @@ def _transform_support(
             e_coord if v == e_id else beta[idx[v]] for v in new_vertices
         )
         out.add(vec)
-    from .series import reduce_support
-
     return reduce_support(Support(new_stratum, new_vertices, frozenset(out)))
 
 
@@ -169,8 +181,6 @@ def _subdivide(model: SncdModel, sigma_id: str) -> tuple[SncdModel, str, BlowupS
         )
     J = sigma.vertices
     e_id = _fresh_component_id(model)
-    N_e = sum(model.component(v).N for v in J)
-    mu_e = _exceptional_mu(model, sigma)
 
     coface_ids = sorted(cofaces(model, sigma_id))
     removed = set(coface_ids)
@@ -185,12 +195,11 @@ def _subdivide(model: SncdModel, sigma_id: str) -> tuple[SncdModel, str, BlowupS
         tau = model.stratum(tid)
         L = tuple(v for v in tau.vertices if v not in J)
         replacements[tid] = {}
-        for A in _proper_subsets(J):
+        for A in _subsets(J, len(J) - 1):
             # keep tau's vertex order so face tuples agree with old strata
             kept_verts = set(A) | set(L)
             verts = (e_id,) + tuple(v for v in tau.vertices if v in kept_verts)
-            base = f"v_{e_id}" if len(verts) == 1 else "f_" + "_".join(verts)
-            new_id = _fresh_stratum_id(base, taken)
+            new_id = _fresh_stratum_id(verts, taken)
             names[(tid, A)] = new_id
             replacements[tid][A] = new_id
             plan.append((tau, A, L, verts))
@@ -219,12 +228,8 @@ def _subdivide(model: SncdModel, sigma_id: str) -> tuple[SncdModel, str, BlowupS
             Stratum(new_id, verts, fm, tau.touches_zero, tau.touches_pole, horizontal)
         )
 
-    out = SncdModel(
-        model.kind,
-        model.m,
-        model.ambient_dim,
-        model.components + (PrimeComponent(e_id, e_id, N_e, mu_e),),
-        tuple(kept) + tuple(new_strata),
+    out = _with_vertex(
+        model, e_id, J, _exceptional_mu(model, sigma), tuple(kept) + tuple(new_strata)
     )
     step = BlowupStep(sigma_id, J, len(J), e_id, replacements)
     return out, e_id, step
@@ -287,18 +292,13 @@ def blowup_point(
         return blowup_stratum(model, stratum_id)
 
     e_id = _fresh_component_id(model)
-    N_e = sum(model.component(v).N for v in J)
     mu_e = sum(model.component(v).mu for v in J) + model.m * (codim - len(J))
 
     taken = {t.id for t in model.strata}
     names: dict[tuple[str, ...], str] = {}
-    subsets = [
-        A for A in _all_subsets(J) if len(A) <= codim - 1
-    ]
+    subsets = list(_subsets(J, len(J)))
     for A in subsets:
-        verts = (e_id,) + A
-        base = f"v_{e_id}" if len(verts) == 1 else "f_" + "_".join(verts)
-        names[A] = _fresh_stratum_id(base, taken)
+        names[A] = _fresh_stratum_id((e_id,) + A, taken)
 
     new_strata = []
     for A in subsets:
@@ -312,23 +312,10 @@ def blowup_point(
             Stratum(names[A], verts, fm, s.touches_zero, s.touches_pole, None)
         )
 
-    out = SncdModel(
-        model.kind,
-        model.m,
-        model.ambient_dim,
-        model.components + (PrimeComponent(e_id, e_id, N_e, mu_e),),
-        model.strata + tuple(new_strata),
-    )
+    out = _with_vertex(model, e_id, J, mu_e, model.strata + tuple(new_strata))
     trace = _new_trace(model)
     trace.extend(BlowupStep(stratum_id, J, codim, e_id, {}))
     return out, e_id, trace
-
-
-def _all_subsets(vertices: tuple[str, ...]):
-    from itertools import combinations
-
-    for k in range(len(vertices) + 1):
-        yield from combinations(vertices, k)
 
 
 def _apply_step(

@@ -17,6 +17,13 @@ from fractions import Fraction
 from .errors import DomainError
 
 
+def _fraction_field(obj, name: str) -> dict:
+    """Replace a frozen dataclass's dict field by a copy with Fraction values."""
+    clean = {k: Fraction(a) for k, a in getattr(obj, name).items()}
+    object.__setattr__(obj, name, clean)
+    return clean
+
+
 @dataclass(frozen=True)
 class Support:
     """Exponent support of a series at a stratum.
@@ -77,8 +84,7 @@ class AlphaVector:
     alpha: dict[str, Fraction]
 
     def __post_init__(self):
-        clean = {v: Fraction(a) for v, a in self.alpha.items()}
-        object.__setattr__(self, "alpha", clean)
+        clean = _fraction_field(self, "alpha")
         if any(a < 0 for a in clean.values()):
             raise DomainError("alpha entries must be nonnegative")
         if not any(a > 0 for a in clean.values()):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .model import SncdModel, Stratum, face
-from .series import AlphaVector, val
+from .series import AlphaVector, _fraction_field, val
 
 CLASS_AFFINE = "affine"
 CLASS_CONCAVE = "concave"
@@ -37,9 +37,7 @@ class SkeletonPoint:
     alpha: dict[str, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "alpha", {v: Fraction(a) for v, a in self.alpha.items()}
-        )
+        _fraction_field(self, "alpha")
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class BarycentricPoint:
     w: dict[str, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(self, "w", {v: Fraction(a) for v, a in self.w.items()})
+        _fraction_field(self, "w")
 
 
 @dataclass(frozen=True)
@@ -66,9 +64,7 @@ class PointSpec:
     values: dict[str, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", {v: Fraction(a) for v, a in self.values.items()}
-        )
+        _fraction_field(self, "values")
 
 
 def _stratum_and_check(model: SncdModel, stratum_id: str, keys) -> Stratum:

@@ -1,11 +1,17 @@
 """Shared fixtures: the bundled corpus and seeded random generators."""
 
+import io
+import json
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import skelkit as sk
+from skelkit.cli import main
 
 BUNDLED_NAMES = [
     "cusp",
@@ -88,3 +94,70 @@ def random_barycentric(rng, model, stratum_id, max_part=9):
     return sk.BarycentricPoint(
         stratum_id, {v: Fraction(parts[v], total) for v in s.vertices}
     )
+
+
+def _csv(values):
+    return ",".join(str(v) for v in values)
+
+
+def _normalized(model, vertices, parts):
+    total = sum(p * model.component(v).N for v, p in zip(vertices, parts))
+    return [Fraction(p, total) for p in parts]
+
+
+def cli_runs(name):
+    """(label, argv) for every subcommand on one bundled model, its top stratum and two forms.
+
+    argv holds the placeholders {model}, {form0} and {form1}.
+    """
+    model = load_bundled(name)
+    top = min(model.strata, key=lambda s: (-s.r, s.id))
+    verts = top.vertices
+    skewed = _normalized(model, verts, range(1, len(verts) + 1))
+    first_zero = _normalized(model, verts, range(len(verts)) if len(verts) > 1 else [1])
+    return [
+        ("validate", ["validate", "{model}"]),
+        ("info", ["info", "{model}"]),
+        ("ks", ["ks", "{model}"]),
+        ("ks-form", ["ks", "{model}", "--form", "{form0}"]),
+        ("essential", ["essential", "{model}", "--form", "{form0}", "--form", "{form1}"]),
+        ("lct", ["lct", "{model}"]),
+        ("report", ["report", "{model}"]),
+        ("export-graph", ["export", "{model}"]),
+        ("export-structured", ["export", "{model}", "--format", "structured"]),
+        ("classify", ["classify", "{model}", "--stratum", top.id]),
+        ("weight", ["weight", "{model}", "--stratum", top.id, "--alpha", _csv(skewed)]),
+        ("retract", ["retract", "{model}", "--stratum", top.id, "--values", _csv(first_zero)]),
+        ("reduce", ["reduce", "{model}", "--stratum", top.id, "--alpha", _csv(skewed)]),
+        ("blowup-stratum", ["blowup", "{model}", "--stratum", top.id]),
+        ("blowup-point",
+         ["blowup", "{model}", "--point", top.id, verts[0], str(model.ambient_dim)]),
+    ]
+
+
+def write_forms(name, workdir):
+    """Write two forms over the model's components (mu cycling through 1..3 and 1..2);
+    returns the placeholder substitutions {form0} and {form1}."""
+    comps = [c.id for c in load_bundled(name).components]
+    paths = {}
+    for k, period in enumerate((3, 2)):
+        mu = {c: (i + k) % period + 1 for i, c in enumerate(comps)}
+        path = Path(workdir) / f"{name}.form{k}.json"
+        path.write_text(json.dumps({"m": 1, "mu": mu}))
+        paths[f"{{form{k}}}"] = str(path)
+    return paths
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run; an escaping
+    exception is recorded in stderr as its traceback, as the interpreter would."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue(), err.getvalue()

@@ -1,5 +1,6 @@
 """Thresholds and discrepancies on log resolution data."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -46,6 +47,39 @@ def test_sk_pair(bundled):
     assert sk.sk_pair(bundled["cusp"]).strata == frozenset({"v_E3"})
     node = bundled["node"]
     assert sk.sk_pair(node).strata == frozenset({"v_A", "v_B", "e_A_B"})
+
+
+def _flagged(model, flag, stratum_ids):
+    strata = tuple(
+        dataclasses.replace(s, **{flag: True}) if s.id in stratum_ids else s
+        for s in model.strata
+    )
+    out = model.replace(strata=strata)
+    assert sk.validate(out).ok
+    return out
+
+
+def test_lct_and_sk_pair_follow_the_minimal_weight_skeleton():
+    comps = [("A", "A", 1, 1), ("B", "B", 1, 1), ("C", "C", 2, 3)]
+    edges = [("e_A_B", "A", "B"), ("e_B_C", "B", "C")]
+    pair = sk.graph_model(sk.KIND_LOG_RESOLUTION, 1, 2, comps, edges)
+    assert sk.sk_pair(pair).strata == frozenset({"v_A", "v_B", "e_A_B"})
+
+    # strata on the zero locus leave the locus, as in ks_skeleton
+    zero = _flagged(pair, "touches_zero", {"v_B", "e_A_B", "e_B_C"})
+    assert sk.lct(zero) == sk.min_weight(zero) == 1
+    assert sk.sk_pair(zero) == sk.ks_skeleton(zero)
+    assert sk.sk_pair(zero).strata == frozenset({"v_A"})
+
+    # a pole leaves the weight unbounded below: no threshold, no locus
+    pole = _flagged(pair, "touches_pole", {"v_C", "e_B_C"})
+    for fn in (sk.lct, sk.sk_pair, sk.connectedness_report):
+        with pytest.raises(sk.DomainError, match="poles"):
+            fn(pole)
+
+
+def test_quasi_monomial_point_is_the_alpha_vector():
+    assert sk.QuasiMonomialPoint is sk.AlphaVector
 
 
 def test_weight_qm_bounded_below_by_lct(bundled):

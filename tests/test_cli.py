@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import skelkit as sk
 from skelkit.cli import main
-from conftest import bundled_path
+from conftest import bundled_path, cli_runs, load_bundled, run_cli, write_forms
 
 
 def run(capsys, *argv):
@@ -239,3 +240,38 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert proc.stdout == "lct=5/6; sk_pair={v_E3}\n"
+
+
+def _n_zero(model):
+    first, *rest = model.components
+    return model.replace(components=(dataclasses.replace(first, N=0), *rest))
+
+
+def _missing_face(model):
+    top = min(model.strata, key=lambda s: (-s.r, s.id))
+    gone = top.vertices[0]
+    face_map = {v: t for v, t in top.face_map.items() if v != gone}
+    strata = tuple(
+        dataclasses.replace(s, face_map=face_map) if s is top else s for s in model.strata
+    )
+    return model.replace(strata=strata)
+
+
+MUTATIONS = {
+    "n-zero": (_n_zero, "component-multiplicity"),
+    "missing-face": (_missing_face, "face-map-missing"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("name", ["cusp", "reduced_fiber"])
+def test_every_subcommand_rejects_an_invalid_model(name, mutation, tmp_path):
+    mutate, code_word = MUTATIONS[mutation]
+    bad = tmp_path / f"{name}.{mutation}.model"
+    bad.write_text(sk.serialize_model(mutate(load_bundled(name))))
+    subst = {"{model}": str(bad), **write_forms(name, tmp_path)}
+    for label, argv in cli_runs(name):
+        code, out, err = run_cli([subst.get(a, a) for a in argv])
+        assert code in (0, 1, 2) and "Traceback" not in err, f"{label}: {err}"
+        # validate lists the violations on stdout, every other command on stderr
+        assert code == 1 and code_word in (out if label == "validate" else err), label

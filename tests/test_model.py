@@ -1,9 +1,13 @@
 """Structure of models: faces, maximality, connectivity, validation."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skelkit as sk
 from skelkit.model import Violation
+from conftest import random_complex_model, random_graph_model
 
 
 def triangle():
@@ -77,6 +81,49 @@ def test_connected_components():
     ]
     # a subset missing the joining edge falls apart
     assert len(sk.connected_components(m, ["v_A", "v_B"])) == 2
+    # an edge without one of its vertices is not face-closed
+    with pytest.raises(sk.DomainError, match="not face-closed"):
+        sk.connected_components(m, ["e_A_B", "v_A"])
+
+
+def _iterated_faces(model, sid):
+    s = model.stratum(sid)
+    for k in range(1, s.r + 1):
+        for keep in combinations(s.vertices, k):
+            yield sk.face(model, sid, keep)
+
+
+def components_by_subsets(model, ids):
+    """Oracle: join each stratum to every iterated face of it in the input,
+    found by walking all 2^r vertex subsets."""
+    ids = list(dict.fromkeys(ids))
+    block = {sid: {sid} for sid in ids}
+    for sid in ids:
+        for fid in _iterated_faces(model, sid):
+            if fid in block and block[fid] is not block[sid]:
+                merged = block[sid] | block[fid]
+                for x in merged:
+                    block[x] = merged
+    unique = {id(b): frozenset(b) for b in block.values()}
+    return sorted(unique.values(), key=min)
+
+
+def face_closure(model, ids):
+    return {fid for sid in ids for fid in _iterated_faces(model, sid)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_connected_components_matches_the_subset_oracle(rng, data):
+    model = random_complex_model(rng) if rng.random() < 0.5 else random_graph_model(rng)
+    strata = [s.id for s in model.strata]
+    picks = st.lists(st.sampled_from(strata), max_size=len(strata))
+    first = face_closure(model, data.draw(picks))
+    second = face_closure(model, data.draw(picks))
+    for ids in (first, first & second, set(strata)):
+        order = sorted(ids)
+        rng.shuffle(order)
+        assert sk.connected_components(model, order) == components_by_subsets(model, order)
 
 
 def test_bundled_models_validate(bundled):

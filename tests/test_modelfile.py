@@ -1,6 +1,8 @@
 """Model documents: strict parsing, canonical serialization."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,16 @@ def test_roundtrip_bundled(bundled):
         model = sk.parse_model(text)
         assert sk.serialize_model(model) == text
         assert sk.parse_model(sk.serialize_model(model)) == model
+
+
+def test_generator_reproduces_the_bundled_corpus():
+    script = Path(__file__).resolve().parents[1] / "tools" / "generate_data.py"
+    spec = importlib.util.spec_from_file_location("generate_data", script)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    assert sorted(generator.BUILDERS) == sorted(BUNDLED_NAMES)
+    for name, build in generator.BUILDERS.items():
+        assert sk.serialize_model(build()) == bundled_path(name).read_text(), name
 
 
 def test_save_and_load(tmp_path):
