@@ -21,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .essential import Subcomplex, ks_skeleton, min_weight
-from .model import KIND_LOG_RESOLUTION, SncdModel, connected_components
+from .essential import Subcomplex, min_weight, minimal_skeleton
+from .model import KIND_LOG_RESOLUTION, SncdModel, _multiplicity, connected_components
 from .series import AlphaVector
 
 # unnormalized nonnegative weights on the vertices of a stratum, not all zero
@@ -81,13 +81,21 @@ def weight_qm(model: SncdModel, x: QuasiMonomialPoint) -> Fraction:
     exactly when every vertex carrying positive weight has the minimal
     ratio.
     """
-    return log_discrepancy(model, x) / intersection_order(model, x)
+    order = intersection_order(model, x)
+    for v in model.stratum(x.stratum).vertices:
+        _multiplicity(model.component(v))
+    return log_discrepancy(model, x) / order
 
 
 def sk_pair(model: SncdModel) -> Subcomplex:
     """The threshold locus: the minimal-weight skeleton of the pair; face-closed."""
+    return threshold_locus(model)[1]
+
+
+def threshold_locus(model: SncdModel) -> tuple[Fraction, Subcomplex]:
+    """lct and sk_pair together, taking the minimum once."""
     _require_log_resolution(model)
-    return ks_skeleton(model)
+    return minimal_skeleton(model)
 
 
 def connectedness_report(model: SncdModel) -> list[tuple[frozenset[str], bool]]:

@@ -178,8 +178,7 @@ def cmd_reduce(args) -> int:
 def cmd_ks(args) -> int:
     model = _load_valid(args.model)
     form = _load_form(args.form) if args.form else None
-    lo = essential.min_weight(model, form)
-    sub = essential.ks_skeleton(model, form)
+    lo, sub = essential.minimal_skeleton(model, form)
     _print_subcomplex(sub, model, prefix=f"min={format_fraction(lo)}; ")
     return 0
 
@@ -194,8 +193,7 @@ def cmd_essential(args) -> int:
 
 def cmd_lct(args) -> int:
     model = _load_valid(args.model)
-    threshold = birational.lct(model)
-    pair = birational.sk_pair(model)
+    threshold, pair = birational.threshold_locus(model)
     ids = ",".join(sorted(pair.strata))
     print(f"lct={format_fraction(threshold)}; sk_pair={{{ids}}}")
     return 0

@@ -15,7 +15,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .model import SncdModel, Stratum, _face_edges, connected_components, validate
+from .model import (
+    SncdModel, Stratum, _face_edges, _multiplicity, connected_components, validate,
+)
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def min_weight(model: SncdModel, form: Optional[FormData] = None) -> Fraction:
         )
     if not mdl.components:
         raise DomainError("model has no components")
-    return min(Fraction(c.mu, c.N) for c in mdl.components)
+    return min(Fraction(c.mu, _multiplicity(c)) for c in mdl.components)
 
 
 def ks_skeleton(model: SncdModel, form: Optional[FormData] = None) -> Subcomplex:
@@ -115,16 +117,24 @@ def ks_skeleton(model: SncdModel, form: Optional[FormData] = None) -> Subcomplex
     makes the result face-closed.  The result can be empty only for
     flag data no actual form produces.
     """
+    return minimal_skeleton(model, form)[1]
+
+
+def minimal_skeleton(
+    model: SncdModel, form: Optional[FormData] = None
+) -> tuple[Fraction, Subcomplex]:
+    """min_weight and ks_skeleton together, resolving the form and taking the minimum once."""
     mdl = _resolved(model, form)
     lo = min_weight(mdl)
-    chosen = []
-    for s in mdl.strata:
-        if s.touches_zero:
-            continue
-        ratios = [Fraction(mdl.component(v).mu, mdl.component(v).N) for v in s.vertices]
-        if all(rho == lo for rho in ratios):
-            chosen.append(s.id)
-    return subcomplex(model, chosen)
+    # mu / N == lo, cross-multiplied: min_weight has checked every N >= 1
+    minimal = {
+        c.id for c in mdl.components if c.mu * lo.denominator == lo.numerator * c.N
+    }
+    chosen = [
+        s.id for s in mdl.strata
+        if not s.touches_zero and all(v in minimal for v in s.vertices)
+    ]
+    return lo, subcomplex(model, chosen)
 
 
 def essential_skeleton(model: SncdModel, forms: Sequence[FormData]) -> Subcomplex:

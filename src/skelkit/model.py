@@ -14,8 +14,10 @@ derived quantity downstream is a `fractions.Fraction`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import DomainError
@@ -24,6 +26,8 @@ from .series import SeriesPair
 KIND_SNCD = "sncd-over-dvr"
 KIND_LOG_RESOLUTION = "log-resolution"
 KNOWN_KINDS = (KIND_SNCD, KIND_LOG_RESOLUTION)
+
+_by_id = attrgetter("id")
 
 
 @dataclass(frozen=True)
@@ -109,12 +113,8 @@ class SncdModel:
     strata: tuple[Stratum, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "components", tuple(sorted(self.components, key=lambda c: c.id))
-        )
-        object.__setattr__(
-            self, "strata", tuple(sorted(self.strata, key=lambda s: s.id))
-        )
+        object.__setattr__(self, "components", tuple(sorted(self.components, key=_by_id)))
+        object.__setattr__(self, "strata", tuple(sorted(self.strata, key=_by_id)))
 
     @cached_property
     def _components_by_id(self) -> dict[str, PrimeComponent]:
@@ -123,6 +123,18 @@ class SncdModel:
     @cached_property
     def _strata_by_id(self) -> dict[str, Stratum]:
         return {s.id: s for s in self.strata}
+
+    @cached_property
+    def _coface_index(self) -> dict[str, frozenset[str]]:
+        """Stratum id -> ids of the strata whose face maps point at it.
+
+        Built in one pass on the first coface query, not at construction.
+        """
+        index: dict[str, set[str]] = {}
+        for s in self.strata:
+            for fid in s.face_map.values():
+                index.setdefault(fid, set()).add(s.id)
+        return {fid: frozenset(up) for fid, up in index.items()}
 
     def component(self, comp_id: str) -> PrimeComponent:
         try:
@@ -150,6 +162,13 @@ class SncdModel:
         from dataclasses import replace as _replace
 
         return _replace(self, **changes)
+
+
+def _multiplicity(c: PrimeComponent) -> int:
+    """N of a component; DomainError naming it when N < 1, as validate reports."""
+    if c.N < 1:
+        raise DomainError(f"component {c.id!r} has N = {c.N} < 1")
+    return c.N
 
 
 def face(model: SncdModel, stratum_id: str, keep: Iterable[str]) -> str:
@@ -194,12 +213,93 @@ def is_face(model: SncdModel, face_id: str, coface_id: str) -> bool:
 
 
 def cofaces(model: SncdModel, stratum_id: str) -> list[str]:
-    """All strata having the given stratum as an iterated face, itself included."""
-    return [t.id for t in model.strata if is_face(model, stratum_id, t.id)]
+    """All strata having the given stratum as an iterated face, itself included.
+
+    Walks up the model's coface index, so the cost is the size of the
+    star; every iterated coface is reached that way, and is_face keeps
+    the answer to those it really is a face of.  Sorted by id.
+    """
+    model.stratum(stratum_id)
+    index = model._coface_index
+    star, todo = {stratum_id}, [stratum_id]
+    while todo:
+        for up in index.get(todo.pop(), ()):
+            if up not in star:
+                star.add(up)
+                todo.append(up)
+    return sorted(t for t in star if is_face(model, stratum_id, t))
 
 
 def is_maximal(model: SncdModel, stratum_id: str) -> bool:
+    """True iff no other stratum has this one as a face.
+
+    A stratum no face map points at is maximal; that is a lookup.
+    """
+    model.stratum(stratum_id)
+    if not model._coface_index.get(stratum_id):
+        return True
     return cofaces(model, stratum_id) == [stratum_id]
+
+
+def _spliced(
+    model: SncdModel,
+    component: PrimeComponent,
+    removed: Iterable[str],
+    added: Iterable[Stratum],
+) -> SncdModel:
+    """The model plus one component, with the strata `removed` swapped for `added`.
+
+    The new model inherits the id maps and the coface index the parent
+    has built, updated only where the swap touches them, so a blow-up
+    costs the size of its star rather than of the model.  Components and
+    strata are inserted in id order, which spares the constructor's sort.
+    """
+    removed, added = set(removed), tuple(added)
+    strata = list(model.strata)
+    for sid in removed:
+        i = bisect_left(strata, sid, key=_by_id)
+        while i < len(strata) and strata[i].id == sid:
+            del strata[i]
+    for s in added:
+        insort(strata, s, key=_by_id)
+    components = list(model.components)
+    insort(components, component, key=_by_id)
+    out = object.__new__(SncdModel)
+    parent, cache = vars(model), vars(out)
+    cache.update(
+        {f.name: parent[f.name] for f in fields(SncdModel)},
+        components=tuple(components),
+        strata=tuple(strata),
+    )
+    if "_components_by_id" in parent:
+        cache["_components_by_id"] = parent["_components_by_id"].copy()
+        cache["_components_by_id"][component.id] = component
+    if "_coface_index" in parent:
+        index = parent["_coface_index"].copy()
+        gone: dict[str, set[str]] = {}
+        new: dict[str, set[str]] = {}
+        for sid in removed:
+            index.pop(sid, None)
+            for fid in model.stratum(sid).face_map.values():
+                gone.setdefault(fid, set()).add(sid)
+        for s in added:
+            for fid in s.face_map.values():
+                new.setdefault(fid, set()).add(s.id)
+        for fid in gone.keys() | new.keys():
+            up = index.get(fid, frozenset()).difference(gone.get(fid, ()))
+            up = up.union(new.get(fid, ()))
+            if up:
+                index[fid] = up
+            else:
+                index.pop(fid, None)
+        cache["_coface_index"] = index
+    if "_strata_by_id" in parent:
+        by_id = parent["_strata_by_id"].copy()
+        for sid in removed:
+            del by_id[sid]
+        by_id.update((s.id, s) for s in added)
+        cache["_strata_by_id"] = by_id
+    return out
 
 
 def connected_components(

@@ -22,7 +22,9 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import DomainError, UnsupportedCenterError
-from .model import PrimeComponent, SncdModel, Stratum, cofaces, face, is_maximal
+from .model import (
+    PrimeComponent, SncdModel, Stratum, _spliced, cofaces, face, is_maximal,
+)
 from .series import SeriesPair, Support, reduce_support
 from .skeleton import SkeletonPoint, check_point, value_on_component
 
@@ -69,9 +71,8 @@ class BlowupTrace:
     def extend(self, step: BlowupStep):
         self.steps.append(step)
         e = step.new_vertex
-        center = set(step.center_vertices)
         for decomposition in self.pullback.values():
-            coeff = sum(mult for cid, mult in decomposition.items() if cid in center)
+            coeff = sum(decomposition.get(c, 0) for c in step.center_vertices)
             if coeff:
                 decomposition[e] = coeff
 
@@ -88,22 +89,35 @@ def _new_trace(model: SncdModel) -> BlowupTrace:
     return BlowupTrace(pullback={c.id: {c.id: 1} for c in model.components})
 
 
-def _fresh_component_id(model: SncdModel) -> str:
-    taken = {c.id for c in model.components}
-    k = 1
-    while f"exc{k}" in taken:
+def _fresh_component_id(model: SncdModel, start: int = 1) -> tuple[str, int]:
+    """The first exc<k> with k >= start that names no component, and its k.
+
+    A loop that adds exc<k> and resumes at k + 1 gets the ids a scan
+    from 1 would give, without rescanning the components it added.
+    """
+    k = start
+    while f"exc{k}" in model._components_by_id:
         k += 1
-    return f"exc{k}"
+    return f"exc{k}", k
 
 
-def _fresh_stratum_id(vertices: tuple[str, ...], taken: set[str]) -> str:
-    """Name a new stratum after its vertices, avoiding and then reserving `taken`."""
-    base = f"v_{vertices[0]}" if len(vertices) == 1 else "f_" + "_".join(vertices)
-    name, k = base, 1
-    while name in taken:
-        k += 1
-        name = f"{base}~{k}"
-    taken.add(name)
+def _stratum_namer(model: SncdModel, freed: frozenset[str] = frozenset()):
+    """Name new strata after their vertices, avoiding the ids still in use.
+
+    In use are the model's stratum ids outside `freed` and every name
+    handed out so far.
+    """
+    given: set[str] = set()
+
+    def name(vertices: tuple[str, ...]) -> str:
+        base = f"v_{vertices[0]}" if len(vertices) == 1 else "f_" + "_".join(vertices)
+        out, k = base, 1
+        while out in given or (model.has_stratum(out) and out not in freed):
+            k += 1
+            out = f"{base}~{k}"
+        given.add(out)
+        return out
+
     return name
 
 
@@ -115,17 +129,11 @@ def _subsets(vertices: tuple[str, ...], largest: int):
 
 def _with_vertex(
     model: SncdModel, e_id: str, center: tuple[str, ...], mu_e: int,
-    strata: tuple[Stratum, ...],
+    removed: list[str], added: list[Stratum],
 ) -> SncdModel:
-    """The model with new component e_id over `center` and the given strata."""
+    """The model with new component e_id over `center` and the strata swapped."""
     N_e = sum(model.component(v).N for v in center)
-    return SncdModel(
-        model.kind,
-        model.m,
-        model.ambient_dim,
-        model.components + (PrimeComponent(e_id, e_id, N_e, mu_e),),
-        strata,
-    )
+    return _spliced(model, PrimeComponent(e_id, e_id, N_e, mu_e), removed, added)
 
 
 def _transform_support(
@@ -166,12 +174,13 @@ def _exceptional_mu(model: SncdModel, sigma: Stratum) -> int:
     return model.m * r + lo_num - lo_den
 
 
-def _subdivide(model: SncdModel, sigma_id: str) -> tuple[SncdModel, str, BlowupStep]:
+def _subdivide(model: SncdModel, sigma_id: str, e_id: str) -> tuple[SncdModel, BlowupStep]:
     """Star subdivision at an arbitrary stratum with at least two vertices.
 
     Every coface of the center (the center included) is replaced by the
-    cone with apex the new vertex over its proper-center-subset faces;
-    everything else is untouched, so the update is local to the star.
+    cone with apex the new vertex e_id over its proper-center-subset
+    faces; everything else is untouched, so the update is local to the
+    star.
     """
     sigma = model.stratum(sigma_id)
     if sigma.r < 2:
@@ -180,12 +189,9 @@ def _subdivide(model: SncdModel, sigma_id: str) -> tuple[SncdModel, str, BlowupS
             f"is an isomorphism and changes no complex"
         )
     J = sigma.vertices
-    e_id = _fresh_component_id(model)
 
-    coface_ids = sorted(cofaces(model, sigma_id))
-    removed = set(coface_ids)
-    kept = [s for s in model.strata if s.id not in removed]
-    taken = {s.id for s in kept}
+    coface_ids = cofaces(model, sigma_id)
+    fresh_name = _stratum_namer(model, frozenset(coface_ids))
 
     # name every replacement first so face maps can point forward
     names: dict[tuple[str, tuple[str, ...]], str] = {}
@@ -199,7 +205,7 @@ def _subdivide(model: SncdModel, sigma_id: str) -> tuple[SncdModel, str, BlowupS
             # keep tau's vertex order so face tuples agree with old strata
             kept_verts = set(A) | set(L)
             verts = (e_id,) + tuple(v for v in tau.vertices if v in kept_verts)
-            new_id = _fresh_stratum_id(verts, taken)
+            new_id = fresh_name(verts)
             names[(tid, A)] = new_id
             replacements[tid][A] = new_id
             plan.append((tau, A, L, verts))
@@ -228,11 +234,8 @@ def _subdivide(model: SncdModel, sigma_id: str) -> tuple[SncdModel, str, BlowupS
             Stratum(new_id, verts, fm, tau.touches_zero, tau.touches_pole, horizontal)
         )
 
-    out = _with_vertex(
-        model, e_id, J, _exceptional_mu(model, sigma), tuple(kept) + tuple(new_strata)
-    )
-    step = BlowupStep(sigma_id, J, len(J), e_id, replacements)
-    return out, e_id, step
+    out = _with_vertex(model, e_id, J, _exceptional_mu(model, sigma), coface_ids, new_strata)
+    return out, BlowupStep(sigma_id, J, len(J), e_id, replacements)
 
 
 def blowup_stratum(
@@ -250,7 +253,8 @@ def blowup_stratum(
             f"stratum {stratum_id!r} is not maximal; only maximal strata are "
             f"accepted as stratum centers"
         )
-    out, e_id, step = _subdivide(model, stratum_id)
+    e_id, _ = _fresh_component_id(model)
+    out, step = _subdivide(model, stratum_id, e_id)
     trace = _new_trace(model)
     trace.extend(step)
     return out, e_id, trace
@@ -291,14 +295,12 @@ def blowup_point(
             )
         return blowup_stratum(model, stratum_id)
 
-    e_id = _fresh_component_id(model)
+    e_id, _ = _fresh_component_id(model)
     mu_e = sum(model.component(v).mu for v in J) + model.m * (codim - len(J))
 
-    taken = {t.id for t in model.strata}
-    names: dict[tuple[str, ...], str] = {}
+    fresh_name = _stratum_namer(model)
     subsets = list(_subsets(J, len(J)))
-    for A in subsets:
-        names[A] = _fresh_stratum_id((e_id,) + A, taken)
+    names = {A: fresh_name((e_id,) + A) for A in subsets}
 
     new_strata = []
     for A in subsets:
@@ -312,7 +314,7 @@ def blowup_point(
             Stratum(names[A], verts, fm, s.touches_zero, s.touches_pole, None)
         )
 
-    out = _with_vertex(model, e_id, J, mu_e, model.strata + tuple(new_strata))
+    out = _with_vertex(model, e_id, J, mu_e, [], new_strata)
     trace = _new_trace(model)
     trace.extend(BlowupStep(stratum_id, J, codim, e_id, {}))
     return out, e_id, trace
@@ -399,8 +401,10 @@ def reduce_to_divisorial(
     check_point(model, x)
     trace = _new_trace(model)
     stratum_id, alpha = x.stratum, dict(x.alpha)
+    k = 0
     while model.stratum(stratum_id).r > 1:
-        model, _, step = _subdivide(model, stratum_id)
+        e_id, k = _fresh_component_id(model, k + 1)
+        model, step = _subdivide(model, stratum_id, e_id)
         trace.extend(step)
         stratum_id, alpha = _apply_step(step, stratum_id, alpha)
     comp_id = model.stratum(stratum_id).vertices[0]

@@ -113,3 +113,16 @@ def test_connectedness_report(bundled):
     report = sk.connectedness_report(m2)
     verdicts = {min(block): ok for block, ok in report}
     assert verdicts == {"e_A_B": False, "e_C_D": True}
+
+
+def test_a_component_with_n_below_one_is_a_domain_error(bundled):
+    m = bundled["cusp"]
+    broken = m.replace(components=tuple(
+        dataclasses.replace(c, N=0) if c.id == "E1" else c for c in m.components
+    ))
+    for call in (sk.lct, sk.min_weight, sk.ks_skeleton, sk.sk_pair):
+        with pytest.raises(sk.DomainError, match="'E1' has N = 0"):
+            call(broken)
+    q = sk.QuasiMonomialPoint("e_E3_E1", {"E1": F(1), "E3": F(0)})
+    with pytest.raises(sk.DomainError, match="'E1' has N = 0"):
+        sk.weight_qm(broken, q)

@@ -275,3 +275,33 @@ def test_every_subcommand_rejects_an_invalid_model(name, mutation, tmp_path):
         assert code in (0, 1, 2) and "Traceback" not in err, f"{label}: {err}"
         # validate lists the violations on stdout, every other command on stderr
         assert code == 1 and code_word in (out if label == "validate" else err), label
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Count the calls to one function through each module that binds it."""
+    calls = []
+    fn = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_ks_form_is_resolved_once(tmp_path, capsys, monkeypatch):
+    applied = _count_calls(monkeypatch, "apply_form", sk.essential)
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"m": 1, "mu": {"A": 1, "B": 5}}))
+    code, out, _ = run(capsys, "ks", path("edge_23"), "--form", str(form))
+    assert code == 0 and out == "min=1/2; strata={v_A}; connected=true\n"
+    assert len(applied) == 1
+
+
+def test_lct_takes_the_minimum_once(capsys, monkeypatch):
+    minima = _count_calls(monkeypatch, "min_weight", sk.essential, sk.birational)
+    code, out, _ = run(capsys, "lct", path("cusp"))
+    assert code == 0 and out == "lct=5/6; sk_pair={v_E3}\n"
+    assert len(minima) == 1

@@ -1,0 +1,141 @@
+"""The coface index: star walks against the all-strata scan, and the maps
+a blow-up hands on to its result against the ones built from scratch."""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+import skelkit as sk
+import skelkit.model
+from conftest import random_complex_model, random_graph_model, random_point
+
+
+def cofaces_by_scan(model, sid):
+    """Oracle: every stratum the given one is an iterated face of, by testing all."""
+    return [t.id for t in model.strata if sk.is_face(model, sid, t.id)]
+
+
+def is_maximal_by_scan(model, sid):
+    return cofaces_by_scan(model, sid) == [sid]
+
+
+def assert_queries_match_the_scan(model):
+    for s in model.strata:
+        assert sk.cofaces(model, s.id) == cofaces_by_scan(model, s.id)
+        assert sk.is_maximal(model, s.id) == is_maximal_by_scan(model, s.id)
+
+
+def assert_maps_match_a_fresh_build(model):
+    """The carried maps were handed on (not rebuilt lazily) and equal a fresh build."""
+    carried = vars(model)
+    fresh = sk.SncdModel(
+        model.kind, model.m, model.ambient_dim, model.components, model.strata
+    )
+    assert (fresh.components, fresh.strata) == (model.components, model.strata)
+    for name in ("_coface_index", "_strata_by_id", "_components_by_id"):
+        assert name in carried, name
+        assert carried[name] == getattr(fresh, name), name
+
+
+def random_builder_model(rng):
+    pick = rng.randrange(4)
+    if pick == 0:
+        return random_graph_model(rng)
+    if pick == 1:
+        return random_complex_model(rng)
+    comps = [(f"C{k}", f"C{k}", rng.randint(1, 4), rng.randint(1, 4))
+             for k in range(rng.randint(3, 8))]
+    if pick == 2:
+        return sk.cycle_model(sk.KIND_SNCD, 1, comps)
+    return sk.star_model(sk.KIND_SNCD, 1, comps[0], comps[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_queries_match_the_scan_on_builder_models(rng):
+    model = random_builder_model(rng)
+    assert "_coface_index" not in vars(model)  # built on the first query only
+    assert_queries_match_the_scan(model)
+    assert vars(model)["_coface_index"] == {
+        fid: frozenset(up)
+        for fid, up in _direct_cofaces(model).items()
+    }
+
+
+def _direct_cofaces(model):
+    out = {}
+    for s in model.strata:
+        for fid in s.face_map.values():
+            out.setdefault(fid, set()).add(s.id)
+    return out
+
+
+def _blowup_step(rng, model):
+    """One random stratum or point blow-up at a maximal stratum, or None."""
+    tops = [s for s in model.strata if s.r >= 2 and sk.is_maximal(model, s.id)]
+    if not tops:
+        return None
+    s = rng.choice(tops)
+    if s.r < model.ambient_dim and rng.random() < 0.3:
+        center = tuple(rng.sample(s.vertices, rng.randint(1, s.r)))
+        return sk.blowup_point(model, s.id, center, model.ambient_dim)[0]
+    return sk.blowup_stratum(model, s.id)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_blowup_chains_carry_the_maps_they_would_rebuild(rng):
+    model = random_builder_model(rng)
+    for _ in range(rng.randint(1, 6)):
+        sk.cofaces(model, model.strata[0].id)  # build what the next step carries
+        if rng.random() < 0.5:
+            s = rng.choice([s for s in model.strata if s.r >= 2] or model.strata)
+            model = sk.reduce_to_divisorial(
+                model, random_point(rng, model, s.id, max_part=20)
+            )[0]
+        else:
+            model = _blowup_step(rng, model) or model
+        assert_maps_match_a_fresh_build(model)
+        assert sk.validate(model).ok
+    assert_queries_match_the_scan(model)
+
+
+def _gap_edge(taken):
+    comps = [(c, c, 1, 1) for c in taken] + [("B", "B", 1, 1)]
+    return sk.graph_model(sk.KIND_SNCD, 1, 2, comps, [("e", taken[0], "B")])
+
+
+def test_reduction_fills_the_gaps_in_the_exc_ids():
+    # the counter carried by the reduction loop resumes after the id it
+    # handed out, and still skips ids the starting model holds
+    m = _gap_edge(["exc2"])
+    x = sk.SkeletonPoint("e", {"exc2": F(1, 4), "B": F(3, 4)})
+    _, comp, trace = sk.reduce_to_divisorial(m, x)
+    assert [s.new_vertex for s in trace.steps] == ["exc1", "exc3", "exc4"]
+    assert comp == "exc4"
+
+    m = _gap_edge(["exc2", "exc4", "exc5"])
+    x = sk.SkeletonPoint("e", {"exc2": F(1, 5), "B": F(4, 5)})
+    _, _, trace = sk.reduce_to_divisorial(m, x)
+    assert [s.new_vertex for s in trace.steps] == ["exc1", "exc3", "exc6", "exc7"]
+
+
+def test_reduction_calls_is_face_linearly_often(monkeypatch):
+    # the edge point 1:k takes k blow-ups; scanning every stratum for the
+    # cofaces of each center would call is_face about k^2 / 2 times
+    k = 400
+    calls = []
+    is_face = skelkit.model.is_face
+
+    def counted(*args):
+        calls.append(None)
+        return is_face(*args)
+
+    monkeypatch.setattr(skelkit.model, "is_face", counted)
+    edge = sk.graph_model(
+        sk.KIND_SNCD, 1, 2, [("A", "A", 1, 1), ("B", "B", 1, 1)], [("e", "A", "B")]
+    )
+    x = sk.SkeletonPoint("e", {"A": F(1, k + 1), "B": F(k, k + 1)})
+    _, _, trace = sk.reduce_to_divisorial(edge, x)
+    assert len(trace.steps) == k
+    assert 0 < len(calls) <= 10 * k
