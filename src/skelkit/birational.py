@@ -24,6 +24,7 @@ from .errors import DomainError
 from .essential import Subcomplex, min_weight, minimal_skeleton
 from .model import KIND_LOG_RESOLUTION, SncdModel, _multiplicity, connected_components
 from .series import AlphaVector
+from .skeleton import _stratum_and_check
 
 # unnormalized nonnegative weights on the vertices of a stratum, not all zero
 QuasiMonomialPoint = AlphaVector
@@ -39,12 +40,7 @@ def _require_log_resolution(model: SncdModel):
 def _pairing(model: SncdModel, x: QuasiMonomialPoint, datum: str) -> Fraction:
     """sum(alpha_j * d_j) for the component datum d = "mu" or "N"."""
     _require_log_resolution(model)
-    s = model.stratum(x.stratum)
-    if set(x.alpha) != set(s.vertices):
-        raise DomainError(
-            f"weights {sorted(x.alpha)} do not match the vertices "
-            f"{list(s.vertices)} of stratum {x.stratum!r}"
-        )
+    s = _stratum_and_check(model, x.stratum, x.alpha)
     return sum(x.alpha[v] * getattr(model.component(v), datum) for v in s.vertices)
 
 

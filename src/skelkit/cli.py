@@ -9,16 +9,17 @@ and rationals as exact "p/q" strings.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 from . import birational, essential, modify, skeleton
 from .errors import DomainError, ModelFormatError
 from .model import SncdModel, validate
 from .modelfile import (
     format_fraction,
+    load_form,
     load_model,
     parse_fraction,
     serialize_model,
@@ -44,39 +45,6 @@ def _print_subcomplex(sub: essential.Subcomplex, model: SncdModel, prefix: str =
     print(f"{prefix}strata={{{ids}}}; connected={tail}")
 
 
-def _load_form(path) -> essential.FormData:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ModelFormatError(str(exc), str(path)) from None
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(
-            exc.msg, f"{path}: line {exc.lineno} column {exc.colno}"
-        ) from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError("form document must be a JSON object", str(path))
-    unknown = set(doc) - {"m", "mu", "touches_zero", "touches_pole"}
-    if unknown:
-        raise ModelFormatError(f"unknown keys {sorted(unknown)}", str(path))
-    if not isinstance(doc.get("m"), int) or isinstance(doc.get("m"), bool):
-        raise ModelFormatError("key 'm' must be an integer", str(path))
-    mu = doc.get("mu")
-    if not isinstance(mu, dict) or not all(
-        isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
-        for k, v in mu.items()
-    ):
-        raise ModelFormatError("key 'mu' must map component ids to integers", str(path))
-    flags = {}
-    for key in ("touches_zero", "touches_pole"):
-        raw = doc.get(key, {})
-        if not isinstance(raw, dict) or not all(
-            isinstance(k, str) and isinstance(v, bool) for k, v in raw.items()
-        ):
-            raise ModelFormatError(f"key {key!r} must map stratum ids to booleans", str(path))
-        flags[key] = raw
-    return essential.FormData(doc["m"], mu, flags["touches_zero"], flags["touches_pole"])
-
-
 def _load_valid(path) -> SncdModel:
     """Load a model and reject it with its violation list unless it validates."""
     model = load_model(path)
@@ -86,13 +54,14 @@ def _load_valid(path) -> SncdModel:
     return model
 
 
-def _write_model(model: SncdModel, out_path, summary: str):
-    text = serialize_model(model)
-    if out_path:
-        Path(out_path).write_text(text)
-        print(summary)
-    else:
+def _write(text: str, out_path, summary: Optional[str] = None):
+    """Write a document to stdout, or to out_path and then print the summary."""
+    if not out_path:
         sys.stdout.write(text)
+        return
+    Path(out_path).write_text(text)
+    if summary is not None:
+        print(summary)
 
 
 def cmd_validate(args) -> int:
@@ -155,7 +124,7 @@ def cmd_blowup(args) -> int:
     else:
         raise DomainError("blowup needs --stratum or --point")
     c = out.component(e_id)
-    _write_model(out, args.output, f"new vertex: {e_id} (N={c.N}, mu={c.mu})")
+    _write(serialize_model(out), args.output, f"new vertex: {e_id} (N={c.N}, mu={c.mu})")
     return 0
 
 
@@ -177,7 +146,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_ks(args) -> int:
     model = _load_valid(args.model)
-    form = _load_form(args.form) if args.form else None
+    form = load_form(args.form) if args.form else None
     lo, sub = essential.minimal_skeleton(model, form)
     _print_subcomplex(sub, model, prefix=f"min={format_fraction(lo)}; ")
     return 0
@@ -185,7 +154,7 @@ def cmd_ks(args) -> int:
 
 def cmd_essential(args) -> int:
     model = _load_valid(args.model)
-    forms = [_load_form(p) for p in args.form]
+    forms = [load_form(p) for p in args.form]
     sub = essential.essential_skeleton(model, forms)
     _print_subcomplex(sub, model)
     return 0
@@ -209,14 +178,8 @@ def cmd_report(args) -> int:
 
 def cmd_export(args) -> int:
     model = _load_valid(args.model)
-    if args.format == "structured":
-        text = serialize_model(model)
-    else:
-        text = _to_dot(model)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    text = serialize_model(model) if args.format == "structured" else _to_dot(model)
+    _write(text, args.output)
     return 0
 
 

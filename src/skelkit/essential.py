@@ -61,13 +61,21 @@ def apply_form(model: SncdModel, form: FormData) -> SncdModel:
     """Overlay a form's weight data on a model.
 
     Produces a model with the form's m, mu and flags; stratum expansion
-    data is dropped since it described the original form.
+    data is dropped since it described the original form.  A form that
+    names a component or stratum the model lacks is rejected: the typo
+    would otherwise change the answer silently.
     """
     if form.m < 1:
         raise DomainError(f"form degree must be >= 1, got {form.m}")
-    missing = [c.id for c in model.components if c.id not in form.mu]
-    if missing:
-        raise DomainError(f"form gives no weight datum for components {missing}")
+    comp_ids, strata_ids = model._components_by_id.keys(), model._strata_by_id.keys()
+    flagged = form.touches_zero.keys() | form.touches_pole.keys()
+    for problem, ids in (
+        ("gives no weight datum for components", comp_ids - form.mu.keys()),
+        ("gives weight data for unknown components", form.mu.keys() - comp_ids),
+        ("sets flags on unknown strata", flagged - strata_ids),
+    ):
+        if ids:
+            raise DomainError(f"form {problem} {sorted(ids)}")
     comps = tuple(replace(c, mu=form.mu[c.id]) for c in model.components)
     strata = tuple(
         Stratum(

@@ -15,10 +15,11 @@ derived quantity downstream is a `fractions.Fraction`.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import DomainError
 from .series import SeriesPair
@@ -353,199 +354,123 @@ def validate(model: SncdModel) -> ValidationReport:
     """Check every structural invariant of a model, reporting all failures.
 
     This never raises on malformed content; it accumulates violations so
-    a user can fix a hand-written model file in one pass.
+    a user can fix a hand-written model file in one pass.  One walk over
+    the strata checks each stratum and each of its face-map edges once,
+    so the violations of a stratum come out together.
     """
     out: list[Violation] = []
 
-    if model.kind not in KNOWN_KINDS:
-        out.append(Violation("kind", f"unknown kind {model.kind!r}"))
-    if model.m < 1:
-        out.append(Violation("form-degree", f"m must be >= 1, got {model.m}"))
-    if model.kind == KIND_LOG_RESOLUTION and model.m != 1:
-        out.append(
-            Violation("kind", f"log-resolution models fix m = 1, got m = {model.m}")
-        )
-    if model.ambient_dim < 1:
-        out.append(
-            Violation("ambient-dim", f"ambient_dim must be >= 1, got {model.ambient_dim}")
-        )
+    def add(code: str, message: str):
+        out.append(Violation(code, message))
 
-    comp_ids = [c.id for c in model.components]
-    for cid in _duplicates(comp_ids):
-        out.append(Violation("duplicate-id", f"component id {cid!r} repeated"))
+    if model.kind not in KNOWN_KINDS:
+        add("kind", f"unknown kind {model.kind!r}")
+    if model.m < 1:
+        add("form-degree", f"m must be >= 1, got {model.m}")
+    if model.kind == KIND_LOG_RESOLUTION and model.m != 1:
+        add("kind", f"log-resolution models fix m = 1, got m = {model.m}")
+    if model.ambient_dim < 1:
+        add("ambient-dim", f"ambient_dim must be >= 1, got {model.ambient_dim}")
+    for what, items in (("component", model.components), ("stratum", model.strata)):
+        for xid, count in Counter(x.id for x in items).items():
+            if count > 1:
+                add("duplicate-id", f"{what} id {xid!r} repeated")
+    singletons = {s.vertices[0] for s in model.strata if len(s.vertices) == 1}
     for c in model.components:
         if c.N < 1:
-            out.append(
-                Violation(
-                    "component-multiplicity", f"component {c.id!r} has N = {c.N} < 1"
-                )
-            )
-
-    strat_ids = [s.id for s in model.strata]
-    for sid in _duplicates(strat_ids):
-        out.append(Violation("duplicate-id", f"stratum id {sid!r} repeated"))
-    strata = {s.id: s for s in model.strata}
-    comp_set = set(comp_ids)
-
-    singleton_of = {s.vertices[0] for s in model.strata if len(s.vertices) == 1}
-    for cid in comp_ids:
-        if cid not in singleton_of:
-            out.append(
-                Violation("missing-singleton", f"component {cid!r} has no vertex stratum")
-            )
-
+            add("component-multiplicity", f"component {c.id!r} has N = {c.N} < 1")
+        if c.id not in singletons:
+            add("missing-singleton", f"component {c.id!r} has no vertex stratum")
+    comps = model._components_by_id
     for s in model.strata:
-        if len(s.vertices) == 0:
-            out.append(Violation("stratum-size", f"stratum {s.id!r} has no vertices"))
-            continue
-        if len(set(s.vertices)) != len(s.vertices):
-            out.append(
-                Violation("stratum-size", f"stratum {s.id!r} repeats a vertex")
-            )
-        if len(s.vertices) > model.ambient_dim:
-            out.append(
-                Violation(
+        vs, r = s.vertices, len(s.vertices)
+        unknown = [v for v in vs if v not in comps]
+        if not r:
+            add("stratum-size", f"stratum {s.id!r} has no vertices")
+        else:
+            if len(set(vs)) != r:
+                add("stratum-size", f"stratum {s.id!r} repeats a vertex")
+            if r > model.ambient_dim:
+                add(
                     "stratum-size",
-                    f"stratum {s.id!r} has {len(s.vertices)} vertices, "
+                    f"stratum {s.id!r} has {r} vertices, "
                     f"more than ambient_dim = {model.ambient_dim}",
                 )
-            )
-        unknown = [v for v in s.vertices if v not in comp_set]
-        for v in unknown:
-            out.append(
-                Violation(
-                    "unknown-component", f"stratum {s.id!r} uses unknown component {v!r}"
-                )
-            )
-        if unknown:
-            continue
-        if len(s.vertices) >= 2:
-            for v in s.vertices:
-                if v not in s.face_map:
-                    out.append(
-                        Violation(
-                            "face-map-missing",
-                            f"stratum {s.id!r} lacks a face map entry for vertex {v!r}",
-                        )
-                    )
-                    continue
-                tid = s.face_map[v]
-                t = strata.get(tid)
-                if t is None:
-                    out.append(
-                        Violation(
-                            "face-map mismatch",
-                            f"stratum {s.id!r}: face at {v!r} points to unknown "
-                            f"stratum {tid!r}",
-                        )
-                    )
-                elif tuple(x for x in s.vertices if x != v) != t.vertices:
-                    out.append(
-                        Violation(
-                            "face-map mismatch",
-                            f"stratum {s.id!r}: face at {v!r} should carry vertices "
-                            f"{tuple(x for x in s.vertices if x != v)}, but "
-                            f"{tid!r} carries {t.vertices}",
-                        )
-                    )
-        extra_keys = set(s.face_map) - set(s.vertices)
-        for v in sorted(extra_keys):
-            out.append(
-                Violation(
-                    "face-map mismatch",
-                    f"stratum {s.id!r} maps non-vertex {v!r}",
-                )
-            )
-
-    # simplicial identity: removing two vertices commutes
-    for s in model.strata:
-        if len(s.vertices) < 2 or set(s.vertices) - comp_set:
-            continue
-        for i, v in enumerate(s.vertices):
-            for w in s.vertices[i + 1 :]:
-                try:
-                    a = _two_step(model, strata, s, v, w)
-                    b = _two_step(model, strata, s, w, v)
-                except KeyError:
-                    continue  # already reported above
-                if a is not None and b is not None and a != b:
-                    out.append(
-                        Violation(
-                            "simplicial-identity",
-                            f"stratum {s.id!r}: removing {v!r} then {w!r} gives "
-                            f"{a!r}, the other order gives {b!r}",
-                        )
-                    )
-
-    # flag monotonicity: a flag that is off on a stratum is off on its faces
-    for s in model.strata:
-        if len(s.vertices) < 2 or set(s.vertices) - comp_set:
-            continue
-        for v, tid in s.face_map.items():
-            t = strata.get(tid)
-            if t is None:
-                continue
-            if not s.touches_zero and t.touches_zero:
-                out.append(
-                    Violation(
-                        "flag monotonicity",
-                        f"stratum {s.id!r} has touches_zero off but its face "
-                        f"{tid!r} has it on",
-                    )
-                )
-            if not s.touches_pole and t.touches_pole:
-                out.append(
-                    Violation(
-                        "flag monotonicity",
-                        f"stratum {s.id!r} has touches_pole off but its face "
-                        f"{tid!r} has it on",
-                    )
-                )
-
-    # horizontal data consistency with the declared weights
-    for s in model.strata:
-        if s.horizontal is None or set(s.vertices) - comp_set:
-            continue
+            for v in unknown:
+                add("unknown-component", f"stratum {s.id!r} uses unknown component {v!r}")
+            if not unknown:
+                for v in sorted(s.face_map.keys() - set(vs)):
+                    add("face-map mismatch", f"stratum {s.id!r} maps non-vertex {v!r}")
+        if not unknown and r >= 2:
+            _check_faces(model, s, add)
         h = s.horizontal
-        if h.num.vertices != s.vertices or h.den.vertices != s.vertices:
-            out.append(
-                Violation(
-                    "horizontal-consistency",
-                    f"stratum {s.id!r}: expansion coordinates do not match "
-                    f"the stratum's vertex order",
-                )
+        if unknown or h is None:
+            continue
+        if h.num.vertices != vs or h.den.vertices != vs:
+            add(
+                "horizontal-consistency",
+                f"stratum {s.id!r}: expansion coordinates do not match "
+                f"the stratum's vertex order",
             )
             continue
-        for j, v in enumerate(s.vertices):
+        for j, v in enumerate(vs):
             lo_num = min(beta[j] for beta in h.num.exponents)
             lo_den = min(beta[j] for beta in h.den.exponents)
-            expected = model.component(v).mu - model.m
+            expected = comps[v].mu - model.m
             if lo_num - lo_den != expected:
-                out.append(
-                    Violation(
-                        "horizontal-consistency",
-                        f"stratum {s.id!r}, vertex {v!r}: expansion orders give "
-                        f"{lo_num} - {lo_den}, declared weight datum needs "
-                        f"{expected}",
-                    )
+                add(
+                    "horizontal-consistency",
+                    f"stratum {s.id!r}, vertex {v!r}: expansion orders give "
+                    f"{lo_num} - {lo_den}, declared weight datum needs {expected}",
                 )
-
     return ValidationReport(tuple(out))
 
 
-def _two_step(model, strata, s, v, w):
-    t = strata.get(s.face_map.get(v, ""))
-    if t is None:
-        return None
-    if len(t.vertices) == 1:
-        return None
-    return t.face_map.get(w)
+def _check_faces(model: SncdModel, s: Stratum, add: Callable[[str, str], None]):
+    """validate on the face-map edges s --v--> t of a stratum of two or more vertices.
 
-
-def _duplicates(ids):
-    seen, dups = set(), []
-    for x in ids:
-        if x in seen and x not in dups:
-            dups.append(x)
-        seen.add(x)
-    return dups
+    Each face t is looked up once.  Its flags are checked for every key, even
+    a non-vertex one; its vertex set and the simplicial identity for vertices.
+    """
+    faces = {}
+    for v, tid in s.face_map.items():
+        t = faces[v] = model._strata_by_id.get(tid)
+        for flag in ("touches_zero", "touches_pole"):
+            if t is not None and getattr(t, flag) and not getattr(s, flag):
+                add(
+                    "flag monotonicity",
+                    f"stratum {s.id!r} has {flag} off but its face {tid!r} has it on",
+                )
+    below = {}  # vertex -> face map of the face without it, unless that is a vertex
+    for v in s.vertices:
+        t, rest = faces.get(v), tuple(x for x in s.vertices if x != v)
+        if v not in faces:
+            add(
+                "face-map-missing",
+                f"stratum {s.id!r} lacks a face map entry for vertex {v!r}",
+            )
+        elif t is None:
+            add(
+                "face-map mismatch",
+                f"stratum {s.id!r}: face at {v!r} points to unknown "
+                f"stratum {s.face_map[v]!r}",
+            )
+        else:
+            if rest != t.vertices:
+                add(
+                    "face-map mismatch",
+                    f"stratum {s.id!r}: face at {v!r} should carry vertices "
+                    f"{rest}, but {t.id!r} carries {t.vertices}",
+                )
+            if len(t.vertices) != 1:
+                below[v] = t.face_map
+    down = [v for v in s.vertices if v in below]
+    for i, v in enumerate(down):
+        for w in down[i + 1 :]:
+            a, b = below[v].get(w), below[w].get(v)
+            if a is not None and b is not None and a != b:
+                add(
+                    "simplicial-identity",
+                    f"stratum {s.id!r}: removing {v!r} then {w!r} gives "
+                    f"{a!r}, the other order gives {b!r}",
+                )

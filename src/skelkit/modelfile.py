@@ -7,6 +7,10 @@ without that vertex), optional touches_zero / touches_pole flags and an
 optional horizontal expansion {num: [[...]], den: [[...]]} whose
 exponent vectors follow the stratum's vertex order.
 
+A form document (`load_form`) is a JSON object with an integer m, an
+mu map from component id to integer and optional touches_zero /
+touches_pole maps from stratum id to bool.
+
 Parsing is strict about shapes (wrong types, unknown keys and malformed
 exponents are format errors with a location) but does not check the
 semantic invariants; run validate() on the parsed model for those.
@@ -21,6 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import DomainError, ModelFormatError
+from .essential import FormData
 from .model import PrimeComponent, SncdModel, Stratum
 from .series import SeriesPair, Support
 
@@ -46,6 +51,11 @@ def _expect(cond: bool, message: str, where: str):
         raise ModelFormatError(message, where)
 
 
+def _keys(obj: dict, allowed: set, where: str):
+    unknown = set(obj) - allowed
+    _expect(not unknown, f"unknown keys {sorted(unknown)}", where)
+
+
 def _get(obj: dict, key: str, kind, where: str, default=_expect):
     if key not in obj:
         if default is not _expect:
@@ -63,14 +73,26 @@ def _get(obj: dict, key: str, kind, where: str, default=_expect):
     return value
 
 
-def parse_model(text: str) -> SncdModel:
+def _json(text: str, prefix: str = ""):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ModelFormatError(exc.msg, f"line {exc.lineno} column {exc.colno}") from None
+        raise ModelFormatError(
+            exc.msg, f"{prefix}line {exc.lineno} column {exc.colno}"
+        ) from None
+
+
+def _read(path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ModelFormatError(str(exc), str(path)) from None
+
+
+def parse_model(text: str) -> SncdModel:
+    doc = _json(text)
     _expect(isinstance(doc, dict), "document must be a JSON object", "top level")
-    unknown = set(doc) - _TOP_KEYS
-    _expect(not unknown, f"unknown keys {sorted(unknown)}", "top level")
+    _keys(doc, _TOP_KEYS, "top level")
 
     kind = _get(doc, "kind", str, "top level")
     m = _get(doc, "m", int, "top level")
@@ -81,8 +103,7 @@ def parse_model(text: str) -> SncdModel:
     for i, entry in enumerate(raw_components):
         where = f"components[{i}]"
         _expect(isinstance(entry, dict), "component must be an object", where)
-        unknown = set(entry) - _COMPONENT_KEYS
-        _expect(not unknown, f"unknown keys {sorted(unknown)}", where)
+        _keys(entry, _COMPONENT_KEYS, where)
         comps.append(
             PrimeComponent(
                 _get(entry, "id", str, where),
@@ -97,8 +118,7 @@ def parse_model(text: str) -> SncdModel:
     for i, entry in enumerate(raw_strata):
         where = f"strata[{i}]"
         _expect(isinstance(entry, dict), "stratum must be an object", where)
-        unknown = set(entry) - _STRATUM_KEYS
-        _expect(not unknown, f"unknown keys {sorted(unknown)}", where)
+        _keys(entry, _STRATUM_KEYS, where)
         sid = _get(entry, "id", str, where)
         vertices = _get(entry, "vertices", list, where)
         _expect(
@@ -132,8 +152,7 @@ def parse_model(text: str) -> SncdModel:
 
 def _parse_horizontal(raw, stratum_id, vertices, where) -> SeriesPair:
     _expect(isinstance(raw, dict), "horizontal must be an object", where)
-    unknown = set(raw) - {"num", "den"}
-    _expect(not unknown, f"unknown keys {sorted(unknown)}", where)
+    _keys(raw, {"num", "den"}, where)
     sides = {}
     for side in ("num", "den"):
         vectors = _get(raw, side, list, where)
@@ -155,11 +174,30 @@ def _parse_horizontal(raw, stratum_id, vertices, where) -> SeriesPair:
 
 
 def load_model(path) -> SncdModel:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ModelFormatError(str(exc), str(path)) from None
-    return parse_model(text)
+    return parse_model(_read(path))
+
+
+def load_form(path) -> FormData:
+    """Read a form document; its shapes are checked here, its ids by apply_form."""
+    doc, where = _json(_read(path), f"{path}: "), str(path)
+    _expect(isinstance(doc, dict), "form document must be a JSON object", where)
+    _keys(doc, {"m", "mu", "touches_zero", "touches_pole"}, where)
+    m = _get(doc, "m", int, where)
+    mu = _get(doc, "mu", dict, where)
+    _expect(
+        all(isinstance(k, str) and type(v) is int for k, v in mu.items()),
+        "key 'mu' must map component ids to integers",
+        where,
+    )
+    flags = {}
+    for key in ("touches_zero", "touches_pole"):
+        raw = flags[key] = _get(doc, key, dict, where, default={})
+        _expect(
+            all(isinstance(k, str) and isinstance(v, bool) for k, v in raw.items()),
+            f"key {key!r} must map stratum ids to booleans",
+            where,
+        )
+    return FormData(m, mu, **flags)
 
 
 def serialize_model(model: SncdModel) -> str:

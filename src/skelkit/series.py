@@ -142,12 +142,8 @@ def product(s1: Support, s2: Support) -> Support:
     [(1, 1)]
     """
     _check_pair(s1, s2)
-    mink = {
-        tuple(a + b for a, b in zip(b1, b2))
-        for b1 in s1.exponents
-        for b2 in s2.exponents
-    }
-    return reduce_support(Support(s1.stratum, s1.vertices, frozenset(mink)))
+    mink = minkowski(s1.exponents, s2.exponents)
+    return reduce_support(Support(s1.stratum, s1.vertices, mink))
 
 
 def sum_supports(s1: Support, s2: Support) -> Support:

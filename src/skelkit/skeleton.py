@@ -77,8 +77,8 @@ def _stratum_and_check(model: SncdModel, stratum_id: str, keys) -> Stratum:
     return s
 
 
-def check_point(model: SncdModel, x: SkeletonPoint) -> None:
-    """Raise unless x is a well-formed normalized point of the model."""
+def check_point(model: SncdModel, x: SkeletonPoint) -> Stratum:
+    """Raise unless x is a well-formed normalized point; return its stratum."""
     s = _stratum_and_check(model, x.stratum, x.alpha)
     if any(a <= 0 for a in x.alpha.values()):
         raise DomainError(f"point on stratum {x.stratum!r} has a non-positive weight")
@@ -88,6 +88,7 @@ def check_point(model: SncdModel, x: SkeletonPoint) -> None:
             f"point on stratum {x.stratum!r} is not normalized: "
             f"sum(alpha * N) = {total}"
         )
+    return s
 
 
 def embed(model: SncdModel, p: BarycentricPoint) -> SkeletonPoint:
@@ -118,8 +119,7 @@ def embed(model: SncdModel, p: BarycentricPoint) -> SkeletonPoint:
 
 def to_barycentric(model: SncdModel, x: SkeletonPoint) -> BarycentricPoint:
     """Inverse of embed: w_j = alpha_j * N_j."""
-    check_point(model, x)
-    s = model.stratum(x.stratum)
+    s = check_point(model, x)
     return BarycentricPoint(
         x.stratum, {v: x.alpha[v] * model.component(v).N for v in s.vertices}
     )
@@ -156,8 +156,7 @@ def weight(model: SncdModel, x: SkeletonPoint) -> Fraction:
     >>> weight(mdl, SkeletonPoint("e", {"A": F(1, 4), "B": F(1, 6)}))
     Fraction(5, 12)
     """
-    check_point(model, x)
-    s = model.stratum(x.stratum)
+    s = check_point(model, x)
     if s.horizontal is None:
         return sum(x.alpha[v] * model.component(v).mu for v in s.vertices)
     a = AlphaVector(x.stratum, dict(x.alpha))

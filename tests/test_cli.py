@@ -4,12 +4,15 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skelkit as sk
 from skelkit.cli import main
-from conftest import bundled_path, cli_runs, load_bundled, run_cli, write_forms
+from conftest import BUNDLED_NAMES, bundled_path, cli_runs, load_bundled, run_cli, write_forms
 
 
 def run(capsys, *argv):
@@ -185,6 +188,22 @@ def test_bad_form_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "form, unknown",
+    [
+        ({"m": 1, "mu": {"A": 1, "B": 1}, "touches_zero": {"v_b": True, "e_A_b": True}},
+         "strata ['e_A_b', 'v_b']"),
+        ({"m": 1, "mu": {"A": 1, "B": 1, "b": 2}}, "components ['b']"),
+    ],
+)
+def test_form_naming_unknown_ids_is_rejected(tmp_path, capsys, form, unknown):
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(form))
+    for command in ("ks", "essential"):
+        code, out, err = run(capsys, command, path("edge_23"), "--form", str(form_path))
+        assert code == 1 and out == "" and unknown in err, command
+
+
 def test_lct_and_report(capsys):
     code, out, _ = run(capsys, "lct", path("cusp"))
     assert code == 0 and out == "lct=5/6; sk_pair={v_E3}\n"
@@ -275,6 +294,52 @@ def test_every_subcommand_rejects_an_invalid_model(name, mutation, tmp_path):
         assert code in (0, 1, 2) and "Traceback" not in err, f"{label}: {err}"
         # validate lists the violations on stdout, every other command on stderr
         assert code == 1 and code_word in (out if label == "validate" else err), label
+
+
+def _mutated_model_text(name, mutation, rng):
+    if mutation is None:
+        return bundled_path(name).read_text()
+    if mutation == "truncated":
+        text = bundled_path(name).read_text()
+        return text[: rng.randrange(len(text) - 1)]  # always cuts the closing brace
+    return sk.serialize_model(MUTATIONS[mutation][0](load_bundled(name)))
+
+
+FORM_MUTATIONS = {
+    "unknown-component": lambda doc: {**doc, "mu": {**doc["mu"], "nope": 1}},
+    "unknown-stratum": lambda doc: {**doc, "touches_zero": {"nope": True}},
+    "m-is-a-string": lambda doc: {**doc, "m": "1"},
+    "mu-is-a-list": lambda doc: {**doc, "mu": list(doc["mu"])},
+    "flag-is-an-int": lambda doc: {**doc, "touches_pole": {"nope": 1}},
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(BUNDLED_NAMES),
+    st.sampled_from([None, "truncated", *sorted(MUTATIONS)]),
+    st.sampled_from([None, *sorted(FORM_MUTATIONS)]),
+    st.randoms(use_true_random=False),
+)
+def test_every_subcommand_survives_mutated_input(name, model_mutation, form_mutation, rng):
+    """Exit 0, 1 or 2 with no traceback; a broken model fails every command and a
+    broken form fails every command that reads it."""
+    with tempfile.TemporaryDirectory() as workdir:
+        model_path = Path(workdir) / f"{name}.model"
+        model_path.write_text(_mutated_model_text(name, model_mutation, rng))
+        # a model without face maps has no face to remove
+        broken = model_path.read_text() != bundled_path(name).read_text()
+        subst = {"{model}": str(model_path), **write_forms(name, workdir)}
+        for form_path in map(Path, (subst["{form0}"], subst["{form1}"]) if form_mutation else ()):
+            doc = FORM_MUTATIONS[form_mutation](json.loads(form_path.read_text()))
+            form_path.write_text(json.dumps(doc))
+        for label, argv in cli_runs(name):
+            code, out, err = run_cli([subst.get(a, a) for a in argv])
+            assert code in (0, 1, 2) and "Traceback" not in err, f"{label}: {err}"
+            if broken:
+                assert code != 0, label
+            if form_mutation and label in ("ks-form", "essential"):
+                assert code != 0, label
 
 
 def _count_calls(monkeypatch, name, *modules):

@@ -58,6 +58,11 @@ def test_apply_form_checks(bundled):
         sk.apply_form(m, sk.FormData(0, {"A": 1, "B": 1}))
     with pytest.raises(sk.DomainError):
         sk.apply_form(m, sk.FormData(1, {"A": 1}))
+    # ids the model lacks are typos, not data to ignore
+    with pytest.raises(sk.DomainError, match=r"unknown components \['C'\]"):
+        sk.apply_form(m, sk.FormData(1, {"A": 1, "B": 1, "C": 1}))
+    with pytest.raises(sk.DomainError, match=r"unknown strata \['v_b'\]"):
+        sk.apply_form(m, sk.FormData(1, {"A": 1, "B": 1}, touches_pole={"v_b": False}))
     # a zero flag on a vertex alone breaks monotonicity on the edge
     with pytest.raises(sk.DomainError):
         sk.apply_form(m, sk.FormData(1, {"A": 1, "B": 1}, touches_zero={"v_A": True}))

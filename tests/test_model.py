@@ -222,6 +222,19 @@ def test_validate_simplicial_identity():
     assert "simplicial-identity" in codes(m)
 
 
+def test_a_missing_face_is_not_looked_up_as_the_empty_id():
+    # with no A-face there is no A-then-B removal to compare, even when a
+    # stratum happens to have the id ""
+    m = triangle()
+    strata = [
+        sk.Stratum(s.id, s.vertices, {"B": "s_A_C", "C": "s_A_B"}) if s.id == "s_A_B_C" else s
+        for s in m.strata
+    ]
+    broken = m.replace(strata=(*strata, sk.Stratum("", ("B", "C"), {"B": "s_A", "C": "s_B"})))
+    assert "face-map-missing" in codes(broken)
+    assert "simplicial-identity" not in codes(broken)
+
+
 def test_validate_flag_monotonicity():
     comps = (sk.PrimeComponent("A", "A", 1, 1), sk.PrimeComponent("B", "B", 1, 1))
     strata = (
