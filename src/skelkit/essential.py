@@ -10,13 +10,14 @@ no modification can shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError
 from .model import (
-    SncdModel, Stratum, _face_edges, _multiplicity, connected_components, validate,
+    PrimeComponent, SncdModel, Stratum, _face_edges, _multiplicity,
+    connected_components, validate,
 )
 
 
@@ -76,7 +77,9 @@ def apply_form(model: SncdModel, form: FormData) -> SncdModel:
     ):
         if ids:
             raise DomainError(f"form {problem} {sorted(ids)}")
-    comps = tuple(replace(c, mu=form.mu[c.id]) for c in model.components)
+    comps = tuple(
+        PrimeComponent(c.id, c.name, c.N, form.mu[c.id]) for c in model.components
+    )
     strata = tuple(
         Stratum(
             s.id,

@@ -429,22 +429,15 @@ def validate(model: SncdModel) -> ValidationReport:
 def _check_faces(model: SncdModel, s: Stratum, add: Callable[[str, str], None]):
     """validate on the face-map edges s --v--> t of a stratum of two or more vertices.
 
-    Each face t is looked up once.  Its flags are checked for every key, even
-    a non-vertex one; its vertex set and the simplicial identity for vertices.
+    Each face t is looked up once and checked for its vertex set, both flags
+    and, with the other faces, the simplicial identity.  Keys that are not
+    vertices are no edges; validate reports them on their own.
     """
-    faces = {}
-    for v, tid in s.face_map.items():
-        t = faces[v] = model._strata_by_id.get(tid)
-        for flag in ("touches_zero", "touches_pole"):
-            if t is not None and getattr(t, flag) and not getattr(s, flag):
-                add(
-                    "flag monotonicity",
-                    f"stratum {s.id!r} has {flag} off but its face {tid!r} has it on",
-                )
     below = {}  # vertex -> face map of the face without it, unless that is a vertex
     for v in s.vertices:
-        t, rest = faces.get(v), tuple(x for x in s.vertices if x != v)
-        if v not in faces:
+        tid, rest = s.face_map.get(v), tuple(x for x in s.vertices if x != v)
+        t = model._strata_by_id.get(tid)
+        if v not in s.face_map:
             add(
                 "face-map-missing",
                 f"stratum {s.id!r} lacks a face map entry for vertex {v!r}",
@@ -452,10 +445,16 @@ def _check_faces(model: SncdModel, s: Stratum, add: Callable[[str, str], None]):
         elif t is None:
             add(
                 "face-map mismatch",
-                f"stratum {s.id!r}: face at {v!r} points to unknown "
-                f"stratum {s.face_map[v]!r}",
+                f"stratum {s.id!r}: face at {v!r} points to unknown stratum {tid!r}",
             )
         else:
+            for flag in ("touches_zero", "touches_pole"):
+                if getattr(t, flag) and not getattr(s, flag):
+                    add(
+                        "flag monotonicity",
+                        f"stratum {s.id!r} has {flag} off but its face {tid!r} "
+                        f"has it on",
+                    )
             if rest != t.vertices:
                 add(
                     "face-map mismatch",

@@ -259,6 +259,24 @@ def test_validate_flag_monotonicity():
     assert sk.validate(ok).ok
 
 
+def test_a_non_vertex_face_key_is_no_edge_for_the_flags():
+    # s_C is no face of s_A_B, so its flag cannot break monotonicity there;
+    # the stray key is reported once, as a face-map mismatch
+    comps = [("A", "A", 1, 1), ("B", "B", 2, 1), ("C", "C", 3, 2)]
+    m = sk.full_complex_model(sk.KIND_SNCD, 1, comps, [["A", "B"], ["C"]])
+    strata = tuple(
+        sk.Stratum(s.id, s.vertices, {**s.face_map, "C": "s_C"}) if s.id == "s_A_B"
+        else sk.Stratum(s.id, s.vertices, s.face_map, True, False) if s.id == "s_C"
+        else s
+        for s in m.strata
+    )
+    report = sk.validate(m.replace(strata=strata))
+    assert not report.ok
+    assert [(v.code, v.message) for v in report.violations] == [
+        ("face-map mismatch", "stratum 's_A_B' maps non-vertex 'C'")
+    ]
+
+
 def horizontal_edge(num, den, mu=(1, 1)):
     comps = (
         sk.PrimeComponent("A", "A", 2, mu[0]),

@@ -1,4 +1,5 @@
-"""The four-pass `validate` that the one-walk version replaced, kept verbatim.
+"""The four-pass `validate` that the one-walk version replaced, kept verbatim
+but for its flag pass, which follows vertex keys only, as face-map edges do.
 
 `skelkit.model.validate` walks the strata once; this reference makes one
 pass over them per kind of check.  Both must report the same multiset of
@@ -146,7 +147,7 @@ def validate(model: SncdModel) -> ValidationReport:
     for s in model.strata:
         if len(s.vertices) < 2 or set(s.vertices) - comp_set:
             continue
-        for v, tid in s.face_map.items():
+        for tid in [s.face_map[v] for v in s.vertices if v in s.face_map]:
             t = strata.get(tid)
             if t is None:
                 continue
