@@ -196,17 +196,22 @@ def _to_dot(model: SncdModel) -> str:
             label = f"{s.id}: {c.id} (N={c.N}, mu={c.mu})"
         else:
             label = f"{s.id}: {{{','.join(s.vertices)}}}"
-        attrs = [f'label="{label}"']
+        attrs = [f"label={_dot(label)}"]
         if s.id in marked:
             attrs.append("style=filled")
             attrs.append("fillcolor=lightgrey")
-        lines.append(f'  "{s.id}" [{", ".join(attrs)}];')
+        lines.append(f'  {_dot(s.id)} [{", ".join(attrs)}];')
     for s in model.strata:
         for v in s.vertices:
             if v in s.face_map:
-                lines.append(f'  "{s.id}" -- "{s.face_map[v]}";')
+                lines.append(f"  {_dot(s.id)} -- {_dot(s.face_map[v])};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot(text: str) -> str:
+    """A DOT quoted string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,9 +14,8 @@ derived quantity downstream is a `fractions.Fraction`.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -242,65 +241,50 @@ def is_maximal(model: SncdModel, stratum_id: str) -> bool:
     return cofaces(model, stratum_id) == [stratum_id]
 
 
-def _spliced(
-    model: SncdModel,
-    component: PrimeComponent,
-    removed: Iterable[str],
-    added: Iterable[Stratum],
-) -> SncdModel:
-    """The model plus one component, with the strata `removed` swapped for `added`.
+class _Complex:
+    """A model's complex under construction: a chain of blow-ups runs here in place.
 
-    The new model inherits the id maps and the coface index the parent
-    has built, updated only where the swap touches them, so a blow-up
-    costs the size of its star rather than of the model.  Components and
-    strata are inserted in id order, which spares the constructor's sort.
+    It copies the model's id maps and coface index (as sets) once; each
+    blow-up then adds its vertex and swaps its star's strata at the cost
+    of the star, and freeze() builds the one SncdModel a caller sees.
+    face, is_face and cofaces accept it in place of a model.
     """
-    removed, added = set(removed), tuple(added)
-    strata = list(model.strata)
-    for sid in removed:
-        i = bisect_left(strata, sid, key=_by_id)
-        while i < len(strata) and strata[i].id == sid:
-            del strata[i]
-    for s in added:
-        insort(strata, s, key=_by_id)
-    components = list(model.components)
-    insort(components, component, key=_by_id)
-    out = object.__new__(SncdModel)
-    parent, cache = vars(model), vars(out)
-    cache.update(
-        {f.name: parent[f.name] for f in fields(SncdModel)},
-        components=tuple(components),
-        strata=tuple(strata),
+
+    # the model's lookups, run on this object's own maps
+    component, stratum, has_stratum = (
+        SncdModel.component, SncdModel.stratum, SncdModel.has_stratum
     )
-    if "_components_by_id" in parent:
-        cache["_components_by_id"] = parent["_components_by_id"].copy()
-        cache["_components_by_id"][component.id] = component
-    if "_coface_index" in parent:
-        index = parent["_coface_index"].copy()
-        gone: dict[str, set[str]] = {}
-        new: dict[str, set[str]] = {}
+
+    def __init__(self, model: SncdModel):
+        self.kind, self.m, self.ambient_dim = model.kind, model.m, model.ambient_dim
+        self._components_by_id = dict(model._components_by_id)
+        self._strata_by_id = dict(model._strata_by_id)
+        self._coface_index = {fid: set(up) for fid, up in model._coface_index.items()}
+
+    def add_vertex(
+        self, e_id: str, center: tuple[str, ...], mu_e: int,
+        removed: Iterable[str], added: Iterable[Stratum],
+    ):
+        """Add component e_id over `center` and swap the strata `removed` for `added`.
+
+        Coface sets emptied by the swap stay in the index.
+        """
+        N_e = sum(self.component(v).N for v in center)
+        self._components_by_id[e_id] = PrimeComponent(e_id, e_id, N_e, mu_e)
+        strata, index = self._strata_by_id, self._coface_index
         for sid in removed:
-            index.pop(sid, None)
-            for fid in model.stratum(sid).face_map.values():
-                gone.setdefault(fid, set()).add(sid)
+            for fid in strata.pop(sid).face_map.values():
+                index[fid].discard(sid)
         for s in added:
+            strata[s.id] = s
             for fid in s.face_map.values():
-                new.setdefault(fid, set()).add(s.id)
-        for fid in gone.keys() | new.keys():
-            up = index.get(fid, frozenset()).difference(gone.get(fid, ()))
-            up = up.union(new.get(fid, ()))
-            if up:
-                index[fid] = up
-            else:
-                index.pop(fid, None)
-        cache["_coface_index"] = index
-    if "_strata_by_id" in parent:
-        by_id = parent["_strata_by_id"].copy()
-        for sid in removed:
-            del by_id[sid]
-        by_id.update((s.id, s) for s in added)
-        cache["_strata_by_id"] = by_id
-    return out
+                index.setdefault(fid, set()).add(s.id)
+
+    def freeze(self) -> SncdModel:
+        return SncdModel(
+            self.kind, self.m, self.ambient_dim,
+            tuple(self._components_by_id.values()), tuple(self._strata_by_id.values()),
+        )
 
 
 def connected_components(

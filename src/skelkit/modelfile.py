@@ -163,7 +163,7 @@ def _parse_horizontal(raw, stratum_id, vertices, where) -> SeriesPair:
         vectors = _get(raw, side, list, where)
         _expect(
             all(
-                isinstance(beta, list) and all(isinstance(b, int) for b in beta)
+                isinstance(beta, list) and all(type(b) is int for b in beta)
                 for beta in vectors
             ),
             f"{side} must be a list of integer vectors",

@@ -22,9 +22,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import DomainError, UnsupportedCenterError
-from .model import (
-    PrimeComponent, SncdModel, Stratum, _spliced, cofaces, face, is_maximal,
-)
+from .model import SncdModel, Stratum, _Complex, cofaces, face, is_maximal
 from .series import SeriesPair, Support, reduce_support
 from .skeleton import SkeletonPoint, check_point, value_on_component
 
@@ -89,7 +87,7 @@ def _new_trace(model: SncdModel) -> BlowupTrace:
     return BlowupTrace(pullback={c.id: {c.id: 1} for c in model.components})
 
 
-def _fresh_component_id(model: SncdModel, start: int = 1) -> tuple[str, int]:
+def _fresh_component_id(model: SncdModel | _Complex, start: int = 1) -> tuple[str, int]:
     """The first exc<k> with k >= start that names no component, and its k.
 
     A loop that adds exc<k> and resumes at k + 1 gets the ids a scan
@@ -101,7 +99,7 @@ def _fresh_component_id(model: SncdModel, start: int = 1) -> tuple[str, int]:
     return f"exc{k}", k
 
 
-def _stratum_namer(model: SncdModel, freed: frozenset[str] = frozenset()):
+def _stratum_namer(model: SncdModel | _Complex, freed: frozenset[str] = frozenset()):
     """Name new strata after their vertices, avoiding the ids still in use.
 
     In use are the model's stratum ids outside `freed` and every name
@@ -127,15 +125,6 @@ def _subsets(vertices: tuple[str, ...], largest: int):
         yield from combinations(vertices, k)
 
 
-def _with_vertex(
-    model: SncdModel, e_id: str, center: tuple[str, ...], mu_e: int,
-    removed: list[str], added: list[Stratum],
-) -> SncdModel:
-    """The model with new component e_id over `center` and the strata swapped."""
-    N_e = sum(model.component(v).N for v in center)
-    return _spliced(model, PrimeComponent(e_id, e_id, N_e, mu_e), removed, added)
-
-
 def _transform_support(
     s: Support, center: tuple[str, ...], new_vertices: tuple[str, ...],
     e_id: str, new_stratum: str, jacobian: int,
@@ -159,7 +148,7 @@ def _transform_support(
     return reduce_support(Support(new_stratum, new_vertices, frozenset(out)))
 
 
-def _exceptional_mu(model: SncdModel, sigma: Stratum) -> int:
+def _exceptional_mu(model: _Complex, sigma: Stratum) -> int:
     """Weight datum of the exceptional component over a stratum closure.
 
     Without expansion data this is the sum of the vertex data; with it,
@@ -174,8 +163,8 @@ def _exceptional_mu(model: SncdModel, sigma: Stratum) -> int:
     return model.m * r + lo_num - lo_den
 
 
-def _subdivide(model: SncdModel, sigma_id: str, e_id: str) -> tuple[SncdModel, BlowupStep]:
-    """Star subdivision at an arbitrary stratum with at least two vertices.
+def _subdivide(model: _Complex, sigma_id: str, e_id: str) -> BlowupStep:
+    """Star subdivision, in place, at an arbitrary stratum with at least two vertices.
 
     Every coface of the center (the center included) is replaced by the
     cone with apex the new vertex e_id over its proper-center-subset
@@ -234,8 +223,8 @@ def _subdivide(model: SncdModel, sigma_id: str, e_id: str) -> tuple[SncdModel, B
             Stratum(new_id, verts, fm, tau.touches_zero, tau.touches_pole, horizontal)
         )
 
-    out = _with_vertex(model, e_id, J, _exceptional_mu(model, sigma), coface_ids, new_strata)
-    return out, BlowupStep(sigma_id, J, len(J), e_id, replacements)
+    model.add_vertex(e_id, J, _exceptional_mu(model, sigma), coface_ids, new_strata)
+    return BlowupStep(sigma_id, J, len(J), e_id, replacements)
 
 
 def blowup_stratum(
@@ -253,11 +242,11 @@ def blowup_stratum(
             f"stratum {stratum_id!r} is not maximal; only maximal strata are "
             f"accepted as stratum centers"
         )
-    e_id, _ = _fresh_component_id(model)
-    out, step = _subdivide(model, stratum_id, e_id)
+    work = _Complex(model)
+    e_id, _ = _fresh_component_id(work)
     trace = _new_trace(model)
-    trace.extend(step)
-    return out, e_id, trace
+    trace.extend(_subdivide(work, stratum_id, e_id))
+    return work.freeze(), e_id, trace
 
 
 def blowup_point(
@@ -314,10 +303,11 @@ def blowup_point(
             Stratum(names[A], verts, fm, s.touches_zero, s.touches_pole, None)
         )
 
-    out = _with_vertex(model, e_id, J, mu_e, [], new_strata)
+    work = _Complex(model)
+    work.add_vertex(e_id, J, mu_e, [], new_strata)
     trace = _new_trace(model)
     trace.extend(BlowupStep(stratum_id, J, codim, e_id, {}))
-    return out, e_id, trace
+    return work.freeze(), e_id, trace
 
 
 def _apply_step(
@@ -400,12 +390,13 @@ def reduce_to_divisorial(
     """
     check_point(model, x)
     trace = _new_trace(model)
+    work = _Complex(model)
     stratum_id, alpha = x.stratum, dict(x.alpha)
     k = 0
-    while model.stratum(stratum_id).r > 1:
-        e_id, k = _fresh_component_id(model, k + 1)
-        model, step = _subdivide(model, stratum_id, e_id)
+    while work.stratum(stratum_id).r > 1:
+        e_id, k = _fresh_component_id(work, k + 1)
+        step = _subdivide(work, stratum_id, e_id)
         trace.extend(step)
         stratum_id, alpha = _apply_step(step, stratum_id, alpha)
-    comp_id = model.stratum(stratum_id).vertices[0]
-    return model, comp_id, trace
+    comp_id = work.stratum(stratum_id).vertices[0]
+    return work.freeze(), comp_id, trace

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -221,6 +222,28 @@ def test_export_graph_marks_the_minimal_locus(capsys):
     assert out.startswith("graph dual_complex {")
     assert '"v_C" [label="v_C: C (N=2, mu=1)", style=filled' in out
     assert '"e_C_T1" -- "v_C";' in out
+
+
+def test_export_graph_escapes_quotes_and_backslashes(tmp_path, capsys):
+    comps = [('A"x', "A", 1, 1), ("B\\y", "B", 2, 1), ('C\\"', "C", 1, 2)]
+    edges = [('e"1', 'A"x', "B\\y"), ("e\\2", "B\\y", 'C\\"')]
+    model = sk.graph_model(sk.KIND_SNCD, 1, 2, comps, edges)
+    f = tmp_path / "odd.model"
+    sk.save_model(model, f)
+    code, out, _ = run(capsys, "export", str(f))
+    assert code == 0
+    lines = out.splitlines()[1:-1]
+    read = [
+        [re.sub(r"\\(.)", r"\1", t) for t in re.findall(r'"((?:[^"\\]|\\.)*)"', line)]
+        for line in lines
+    ]
+    nodes = [r for r, line in zip(read, lines) if " -- " not in line]
+    assert [r[0] for r in nodes] == [s.id for s in model.strata]
+    for (sid, label), s in zip(nodes, model.strata):
+        assert label.startswith(f"{sid}: ") and all(v in label for v in s.vertices)
+    assert [r for r, line in zip(read, lines) if " -- " in line] == [
+        [s.id, s.face_map[v]] for s in model.strata for v in s.vertices if v in s.face_map
+    ]
 
 
 def test_export_structured_roundtrip(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """The coface index: star walks against the all-strata scan, and the maps
-a blow-up hands on to its result against the ones built from scratch."""
+a blow-up updates in place in its working complex against the ones built
+from scratch."""
 
 from fractions import Fraction as F
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -26,15 +28,13 @@ def assert_queries_match_the_scan(model):
 
 
 def assert_maps_match_a_fresh_build(model):
-    """The carried maps were handed on (not rebuilt lazily) and equal a fresh build."""
-    carried = vars(model)
+    """The model and its lazily built maps equal a fresh build's."""
     fresh = sk.SncdModel(
         model.kind, model.m, model.ambient_dim, model.components, model.strata
     )
     assert (fresh.components, fresh.strata) == (model.components, model.strata)
     for name in ("_coface_index", "_strata_by_id", "_components_by_id"):
-        assert name in carried, name
-        assert carried[name] == getattr(fresh, name), name
+        assert getattr(model, name) == getattr(fresh, name), name
 
 
 def random_builder_model(rng):
@@ -82,22 +82,61 @@ def _blowup_step(rng, model):
     return sk.blowup_stratum(model, s.id)[0]
 
 
+def _random_step(rng, model):
+    """A random reduction or maximal-stratum blow-up of the model, or None."""
+    if rng.random() < 0.5:
+        s = rng.choice([s for s in model.strata if s.r >= 2] or model.strata)
+        return sk.reduce_to_divisorial(
+            model, random_point(rng, model, s.id, max_part=20)
+        )[0]
+    return _blowup_step(rng, model)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.randoms(use_true_random=False))
-def test_blowup_chains_carry_the_maps_they_would_rebuild(rng):
+def test_blowup_chains_match_a_fresh_build(rng):
     model = random_builder_model(rng)
     for _ in range(rng.randint(1, 6)):
-        sk.cofaces(model, model.strata[0].id)  # build what the next step carries
-        if rng.random() < 0.5:
-            s = rng.choice([s for s in model.strata if s.r >= 2] or model.strata)
-            model = sk.reduce_to_divisorial(
-                model, random_point(rng, model, s.id, max_part=20)
-            )[0]
-        else:
-            model = _blowup_step(rng, model) or model
+        model = _random_step(rng, model) or model
         assert_maps_match_a_fresh_build(model)
         assert sk.validate(model).ok
-    assert_queries_match_the_scan(model)
+        assert_queries_match_the_scan(model)
+
+
+def _state(model):
+    """Everything a blow-up could change in place on its input model."""
+    index = {fid: frozenset(up) for fid, up in model._coface_index.items()}
+    return (model.components, model.strata, dict(model._strata_by_id),
+            dict(model._components_by_id), index, sk.serialize_model(model))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_every_splice_keeps_the_complex_equal_to_a_fresh_build(rng):
+    # after each in-place blow-up of the working complex, its index (less
+    # the coface sets the swap emptied) and id maps are the ones its frozen
+    # model builds from scratch, and the model it started from is untouched
+    add_vertex = skelkit.model._Complex.add_vertex
+    model, splices = random_builder_model(rng), []
+
+    def checked(work, *args):
+        add_vertex(work, *args)
+        fresh = work.freeze()
+        index = {fid: up for fid, up in work._coface_index.items() if up}
+        assert index == fresh._coface_index
+        assert work._strata_by_id == fresh._strata_by_id
+        assert work._components_by_id == fresh._components_by_id
+        assert _state(model) == before
+        splices.append(work)
+
+    with mock.patch.object(skelkit.model._Complex, "add_vertex", checked):
+        for _ in range(rng.randint(1, 5)):
+            before, done = _state(model), len(splices)
+            out = _random_step(rng, model)
+            if out is None:
+                break
+            assert len(splices) > done and _state(model) == before
+            model = out
 
 
 def _gap_edge(taken):

@@ -114,6 +114,10 @@ def test_horizontal_errors():
         {"id": "v_A", "vertices": ["A"], "horizontal": {"num": [[1, 2]], "den": [[0]]}}
     ]
     assert "length 2" in err(d)
+    d["strata"] = [
+        {"id": "v_A", "vertices": ["A"], "horizontal": {"num": [[True]], "den": [[0]]}}
+    ]
+    assert "integer vectors" in err(d) and "strata[0].horizontal.num" in err(d)
 
 
 def test_syntax_error_location():
