@@ -6,6 +6,8 @@ components, and computes weight functions, minimal-weight skeleta,
 divisorial reductions and log canonical thresholds over the rationals.
 """
 
+from types import ModuleType as _ModuleType
+
 from .birational import (
     QuasiMonomialPoint,
     connectedness_report,
@@ -88,74 +90,9 @@ from .skeleton import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaVector",
-    "BarycentricPoint",
-    "BlowupStep",
-    "BlowupTrace",
-    "CLASS_AFFINE",
-    "CLASS_CONCAVE",
-    "CLASS_CONVEX",
-    "CLASS_UNKNOWN",
-    "DomainError",
-    "FormData",
-    "KIND_LOG_RESOLUTION",
-    "KIND_SNCD",
-    "ModelFormatError",
-    "PointSpec",
-    "PrimeComponent",
-    "QuasiMonomialPoint",
-    "SeriesPair",
-    "SkeletonPoint",
-    "SncdModel",
-    "Stratum",
-    "Subcomplex",
-    "UnsupportedCenterError",
-    "ValidationReport",
-    "Violation",
-    "apply_form",
-    "blowup_point",
-    "blowup_stratum",
-    "check_point",
-    "classify_face",
-    "cofaces",
-    "connected_components",
-    "connectedness_report",
-    "cycle_model",
-    "embed",
-    "essential_skeleton",
-    "face",
-    "format_fraction",
-    "full_complex_model",
-    "graph_model",
-    "initial_support",
-    "intersection_order",
-    "is_connected",
-    "is_face",
-    "is_maximal",
-    "ks_skeleton",
-    "lct",
-    "load_model",
-    "log_discrepancy",
-    "min_weight",
-    "parse_fraction",
-    "parse_model",
-    "product",
-    "pullback_value",
-    "reduce_support",
-    "reduce_to_divisorial",
-    "retract",
-    "save_model",
-    "serialize_model",
-    "sk_pair",
-    "star_model",
-    "subcomplex",
-    "sum_supports",
-    "to_barycentric",
-    "transfer_point",
-    "val",
-    "validate",
-    "value_on_component",
-    "weight",
-    "weight_qm",
-]
+# the public names the imports above bind, without the submodules they also bind
+__all__ = sorted(
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
+)
+del _ModuleType

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when the mathematics rejects the request
-(validation failures, domain errors), 2 when a document cannot be
-parsed.  All output is deterministic: ids are emitted in sorted order
-and rationals as exact "p/q" strings.
+(validation failures, domain errors), 2 when a document cannot be read
+or parsed or an -o path cannot be written (one stderr line names the
+path and the OS error).  All output is deterministic: ids are emitted
+in sorted order and rationals as exact "p/q" strings.
 """
 
 from __future__ import annotations
@@ -54,14 +55,19 @@ def _load_valid(path) -> SncdModel:
     return model
 
 
-def _write(text: str, out_path, summary: Optional[str] = None):
-    """Write a document to stdout, or to out_path and then print the summary."""
+def _write(text: str, out_path, summary: Optional[str] = None) -> int:
+    """Write a document to stdout, or to out_path and print the summary; the exit code."""
     if not out_path:
         sys.stdout.write(text)
-        return
-    Path(out_path).write_text(text)
+        return 0
+    try:
+        Path(out_path).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     if summary is not None:
         print(summary)
+    return 0
 
 
 def cmd_validate(args) -> int:
@@ -124,8 +130,8 @@ def cmd_blowup(args) -> int:
     else:
         raise DomainError("blowup needs --stratum or --point")
     c = out.component(e_id)
-    _write(serialize_model(out), args.output, f"new vertex: {e_id} (N={c.N}, mu={c.mu})")
-    return 0
+    summary = f"new vertex: {e_id} (N={c.N}, mu={c.mu})"
+    return _write(serialize_model(out), args.output, summary)
 
 
 def cmd_reduce(args) -> int:
@@ -179,8 +185,7 @@ def cmd_report(args) -> int:
 def cmd_export(args) -> int:
     model = _load_valid(args.model)
     text = serialize_model(model) if args.format == "structured" else _to_dot(model)
-    _write(text, args.output)
-    return 0
+    return _write(text, args.output)
 
 
 def _to_dot(model: SncdModel) -> str:

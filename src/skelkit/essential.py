@@ -66,8 +66,6 @@ def apply_form(model: SncdModel, form: FormData) -> SncdModel:
     names a component or stratum the model lacks is rejected: the typo
     would otherwise change the answer silently.
     """
-    if form.m < 1:
-        raise DomainError(f"form degree must be >= 1, got {form.m}")
     comp_ids, strata_ids = model._components_by_id.keys(), model._strata_by_id.keys()
     flagged = form.touches_zero.keys() | form.touches_pole.keys()
     for problem, ids in (

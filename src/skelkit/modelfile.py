@@ -40,8 +40,10 @@ _q = json.encoder.encode_basestring_ascii  # the C string escaper json.dumps use
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse a rational written as "p/q" or as a plain integer."""
+    """Parse a rational written as "p/q", as an integer or as a plain decimal."""
     try:
+        if "e" in text.lower():  # Fraction("1e9999999") would build 10**9999999
+            raise ValueError("exponent notation is not accepted")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational number: {text!r} ({exc})") from None
@@ -85,12 +87,14 @@ def _json(text: str, prefix: str = ""):
         raise ModelFormatError(
             exc.msg, f"{prefix}line {exc.lineno} column {exc.colno}"
         ) from None
+    except (RecursionError, ValueError) as exc:  # deep nesting, an int past the digit limit
+        raise ModelFormatError(str(exc).split(":")[0], f"{prefix}top level") from None
 
 
 def _read(path) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(str(exc), str(path)) from None
 
 

@@ -183,7 +183,6 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str) -> BlowupStep:
     fresh_name = _stratum_namer(model, frozenset(coface_ids))
 
     # name every replacement first so face maps can point forward
-    names: dict[tuple[str, tuple[str, ...]], str] = {}
     replacements: dict[str, dict[tuple[str, ...], str]] = {}
     plan: list[tuple[Stratum, tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = []
     for tid in coface_ids:
@@ -194,22 +193,20 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str) -> BlowupStep:
             # keep tau's vertex order so face tuples agree with old strata
             kept_verts = set(A) | set(L)
             verts = (e_id,) + tuple(v for v in tau.vertices if v in kept_verts)
-            new_id = fresh_name(verts)
-            names[(tid, A)] = new_id
-            replacements[tid][A] = new_id
+            replacements[tid][A] = fresh_name(verts)
             plan.append((tau, A, L, verts))
 
     new_strata = []
     for tau, A, L, verts in plan:
-        new_id = names[(tau.id, A)]
+        new_id = replacements[tau.id][A]
         fm: dict[str, str] = {}
         if len(verts) >= 2:
             if A + L:
                 fm[e_id] = face(model, tau.id, A + L)
             for a in A:
-                fm[a] = names[(tau.id, tuple(x for x in A if x != a))]
+                fm[a] = replacements[tau.id][tuple(x for x in A if x != a)]
             for l in L:
-                fm[l] = names[(tau.face_map[l], A)]
+                fm[l] = replacements[tau.face_map[l]][A]
         horizontal: Optional[SeriesPair] = None
         if tau.horizontal is not None:
             horizontal = SeriesPair(

@@ -29,15 +29,8 @@ CLASS_CONVEX = "convex"
 CLASS_UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SkeletonPoint:
-    """A point on the open face of a stratum, in alpha coordinates."""
-
-    stratum: str
-    alpha: dict[str, Fraction]
-
-    def __post_init__(self):
-        _fraction_field(self, "alpha")
+# a point on the open face of a stratum in alpha coordinates, if check_point passes
+SkeletonPoint = AlphaVector
 
 
 @dataclass(frozen=True)
@@ -67,6 +60,14 @@ class PointSpec:
         _fraction_field(self, "values")
 
 
+def _shown(q: Fraction) -> str:
+    """q for an error message, which must not fail on a rational too long to print."""
+    try:
+        return str(q)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        return "a rational too long to print"
+
+
 def _stratum_and_check(model: SncdModel, stratum_id: str, keys) -> Stratum:
     s = model.stratum(stratum_id)
     if set(keys) != set(s.vertices):
@@ -86,7 +87,7 @@ def check_point(model: SncdModel, x: SkeletonPoint) -> Stratum:
     if total != 1:
         raise DomainError(
             f"point on stratum {x.stratum!r} is not normalized: "
-            f"sum(alpha * N) = {total}"
+            f"sum(alpha * N) = {_shown(total)}"
         )
     return s
 
@@ -111,7 +112,7 @@ def embed(model: SncdModel, p: BarycentricPoint) -> SkeletonPoint:
         raise DomainError("barycentric coordinates must be positive")
     if sum(p.w.values()) != 1:
         raise DomainError(
-            f"barycentric coordinates must sum to 1, got {sum(p.w.values())}"
+            f"barycentric coordinates must sum to 1, got {_shown(sum(p.w.values()))}"
         )
     alpha = {v: p.w[v] / model.component(v).N for v in s.vertices}
     return SkeletonPoint(p.stratum, alpha)
@@ -138,7 +139,7 @@ def retract(model: SncdModel, spec: PointSpec) -> SkeletonPoint:
     total = sum(spec.values[v] * model.component(v).N for v in s.vertices)
     if total != 1:
         raise DomainError(
-            f"values are not normalized: sum(value * N) = {total}, expected 1"
+            f"values are not normalized: sum(value * N) = {_shown(total)}, expected 1"
         )
     positive = [v for v in s.vertices if spec.values[v] > 0]
     target = face(model, spec.center, positive)
@@ -159,9 +160,8 @@ def weight(model: SncdModel, x: SkeletonPoint) -> Fraction:
     s = check_point(model, x)
     if s.horizontal is None:
         return sum(x.alpha[v] * model.component(v).mu for v in s.vertices)
-    a = AlphaVector(x.stratum, dict(x.alpha))
     total = sum(x.alpha.values())
-    return val(s.horizontal.num, a) - val(s.horizontal.den, a) + model.m * total
+    return val(s.horizontal.num, x) - val(s.horizontal.den, x) + model.m * total
 
 
 def value_on_component(model: SncdModel, x: SkeletonPoint, comp_id: str) -> Fraction:

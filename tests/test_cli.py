@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import skelkit as sk
 from skelkit.cli import main
@@ -319,13 +320,50 @@ def test_every_subcommand_rejects_an_invalid_model(name, mutation, tmp_path):
         assert code == 1 and code_word in (out if label == "validate" else err), label
 
 
-def _mutated_model_text(name, mutation, rng):
-    if mutation is None:
-        return bundled_path(name).read_text()
+# damage that defeats the JSON decoder rather than the schema, for models and forms alike
+RAW_MUTATIONS = {
+    "non-utf8": lambda text: b"\xff\xfe" + text.encode(),
+    "deep-nesting": lambda text: b"[" * 100_000 + b"]" * 100_000,
+    "long-integer": lambda text: re.sub(
+        r'(": )\d+', r"\g<1>" + "9" * 5000, text, count=1
+    ).encode(),
+}
+
+
+def _mutated_model_bytes(name, mutation, rng):
+    text = bundled_path(name).read_text()
+    if mutation in RAW_MUTATIONS:
+        return RAW_MUTATIONS[mutation](text)
     if mutation == "truncated":
-        text = bundled_path(name).read_text()
-        return text[: rng.randrange(len(text) - 1)]  # always cuts the closing brace
-    return sk.serialize_model(MUTATIONS[mutation][0](load_bundled(name)))
+        text = text[: rng.randrange(len(text) - 1)]  # always cuts the closing brace
+    elif mutation is not None:
+        text = sk.serialize_model(MUTATIONS[mutation][0](load_bundled(name)))
+    return text.encode()
+
+
+def _rationals(*values):
+    """Replace the --alpha or --values tuple by values, padded with 1/6 to its length."""
+
+    def mutate(argv, workdir):
+        for i, a in enumerate(argv[:-1]):
+            if a in ("--alpha", "--values"):
+                r = argv[i + 1].count(",") + 1
+                return [*argv[: i + 1], ",".join([*values, *["1/6"] * r][:r]), *argv[i + 2 :]]
+        return argv
+
+    return mutate
+
+
+ARGV_MUTATIONS = {
+    # Fraction("1e9999999") alone takes seconds to build
+    "exponent-rational": _rationals("1e9999999"),
+    # their sum has more digits than str() may print
+    "long-rationals": _rationals("1/" + "3" * 3000, "1/" + "7" * 2999 + "1"),
+    "unwritable-output": lambda argv, workdir: (
+        [*argv, "-o", str(Path(workdir) / "missing" / "out")]
+        if argv[0] in ("blowup", "export") else argv
+    ),
+}
 
 
 FORM_MUTATIONS = {
@@ -340,26 +378,44 @@ FORM_MUTATIONS = {
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(BUNDLED_NAMES),
-    st.sampled_from([None, "truncated", *sorted(MUTATIONS)]),
-    st.sampled_from([None, *sorted(FORM_MUTATIONS)]),
+    st.sampled_from([None, "truncated", *sorted(MUTATIONS), *sorted(RAW_MUTATIONS)]),
+    st.sampled_from([None, *sorted(FORM_MUTATIONS), *sorted(RAW_MUTATIONS)]),
+    st.sampled_from([None, *sorted(ARGV_MUTATIONS)]),
     st.randoms(use_true_random=False),
 )
-def test_every_subcommand_survives_mutated_input(name, model_mutation, form_mutation, rng):
-    """Exit 0, 1 or 2 with no traceback; a broken model fails every command and a
-    broken form fails every command that reads it."""
+@example("edge_23", "non-utf8", None, None, random.Random(0))
+@example("edge_23", "deep-nesting", None, None, random.Random(0))
+@example("edge_23", "long-integer", None, None, random.Random(0))
+@example("edge_23", None, "non-utf8", None, random.Random(0))
+@example("edge_23", None, "deep-nesting", None, random.Random(0))
+@example("edge_23", None, "long-integer", None, random.Random(0))
+@example("edge_23", None, None, "exponent-rational", random.Random(0))
+@example("edge_23", None, None, "long-rationals", random.Random(0))
+@example("edge_23", None, None, "unwritable-output", random.Random(0))
+def test_every_subcommand_survives_mutated_input(
+    name, model_mutation, form_mutation, argv_mutation, rng
+):
+    """Exit 0, 1 or 2 with no traceback; a broken model fails every command, a
+    broken form fails every command that reads it and a broken argument list
+    fails its command."""
     with tempfile.TemporaryDirectory() as workdir:
         model_path = Path(workdir) / f"{name}.model"
-        model_path.write_text(_mutated_model_text(name, model_mutation, rng))
+        model_path.write_bytes(_mutated_model_bytes(name, model_mutation, rng))
         # a model without face maps has no face to remove
-        broken = model_path.read_text() != bundled_path(name).read_text()
+        broken = model_path.read_bytes() != bundled_path(name).read_bytes()
         subst = {"{model}": str(model_path), **write_forms(name, workdir)}
         for form_path in map(Path, (subst["{form0}"], subst["{form1}"]) if form_mutation else ()):
-            doc = FORM_MUTATIONS[form_mutation](json.loads(form_path.read_text()))
-            form_path.write_text(json.dumps(doc))
+            text = form_path.read_text()
+            if form_mutation in RAW_MUTATIONS:
+                form_path.write_bytes(RAW_MUTATIONS[form_mutation](text))
+            else:
+                form_path.write_text(json.dumps(FORM_MUTATIONS[form_mutation](json.loads(text))))
+        mutate = ARGV_MUTATIONS.get(argv_mutation, lambda argv, workdir: argv)
         for label, argv in cli_runs(name):
-            code, out, err = run_cli([subst.get(a, a) for a in argv])
+            mutated = mutate(argv, workdir)
+            code, out, err = run_cli([subst.get(a, a) for a in mutated])
             assert code in (0, 1, 2) and "Traceback" not in err, f"{label}: {err}"
-            if broken:
+            if broken or mutated != argv:
                 assert code != 0, label
             if form_mutation and label in ("ks-form", "essential"):
                 assert code != 0, label

@@ -137,8 +137,11 @@ def test_parse_fraction():
 
     assert sk.parse_fraction(" 3/4 ") == Fraction(3, 4)
     assert sk.parse_fraction("5") == 5
+    assert sk.parse_fraction("-0.25") == Fraction(-1, 4)
+    assert sk.parse_fraction(".5") == Fraction(1, 2)
     assert sk.format_fraction(Fraction(5, 10)) == "1/2"
-    for bad in ("x", "1/0", "1.5.2"):
+    # exponent notation is refused: Fraction("1e9999999") takes seconds to build
+    for bad in ("x", "1/0", "1.5.2", "1e5", "2.5E-3", "1e9999999"):
         with pytest.raises(sk.DomainError):
             sk.parse_fraction(bad)
 

@@ -30,6 +30,16 @@ def test_embed_rejects_bad_coordinates(bundled):
         sk.embed(m, sk.BarycentricPoint("e_A_B", {"A": F(3, 2), "B": F(-1, 2)}))
 
 
+def test_the_package_exports_every_public_name():
+    assert "Support" in sk.__all__
+    for name in sk.__all__:
+        assert not isinstance(getattr(sk, name), type(sk)), name
+    namespace = {}
+    exec("from skelkit import *", namespace)
+    assert namespace["Support"] is sk.Support
+    assert sk.SkeletonPoint is sk.AlphaVector is sk.QuasiMonomialPoint
+
+
 def test_check_point_reports_the_total(bundled):
     m = bundled["edge_23"]
     with pytest.raises(sk.DomainError) as err:
