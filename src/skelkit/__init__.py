@@ -20,7 +20,6 @@ from .birational import (
 from .complexes import cycle_model, full_complex_model, graph_model, star_model
 from .errors import DomainError, ModelFormatError, UnsupportedCenterError
 from .essential import (
-    FormData,
     Subcomplex,
     apply_form,
     essential_skeleton,
@@ -32,6 +31,7 @@ from .essential import (
 from .model import (
     KIND_LOG_RESOLUTION,
     KIND_SNCD,
+    FormData,
     PrimeComponent,
     SncdModel,
     Stratum,

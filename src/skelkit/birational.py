@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .essential import Subcomplex, min_weight, minimal_skeleton
+from .essential import Subcomplex, is_connected, min_weight, minimal_skeleton
 from .model import KIND_LOG_RESOLUTION, SncdModel, _multiplicity, connected_components
 from .series import AlphaVector
 from .skeleton import _stratum_and_check
@@ -103,9 +103,4 @@ def connectedness_report(model: SncdModel) -> list[tuple[frozenset[str], bool]]:
     """
     pair = sk_pair(model)
     blocks = connected_components(model, [s.id for s in model.strata])
-    out = []
-    for block in blocks:
-        inside = sorted(pair.strata & block)
-        ok = bool(inside) and len(connected_components(model, inside)) == 1
-        out.append((block, ok))
-    return out
+    return [(block, is_connected(model, Subcomplex(pair.strata & block))) for block in blocks]

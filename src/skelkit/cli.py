@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import birational, essential, modify, skeleton
 from .errors import DomainError, ModelFormatError
-from .model import SncdModel, validate
+from .model import PrimeComponent, SncdModel, validate
 from .modelfile import (
     format_fraction,
     load_form,
@@ -46,13 +46,9 @@ def _print_subcomplex(sub: essential.Subcomplex, model: SncdModel, prefix: str =
     print(f"{prefix}strata={{{ids}}}; connected={tail}")
 
 
-def _load_valid(path) -> SncdModel:
-    """Load a model and reject it with its violation list unless it validates."""
-    model = load_model(path)
-    report = validate(model)
-    if not report.ok:
-        raise DomainError(f"{path} is not a valid model:\n{report}")
-    return model
+def _data(c: PrimeComponent) -> str:
+    """A computed component's N and mu, each printed in full or rejected."""
+    return f"N={format_fraction(c.N)}, mu={format_fraction(c.mu)}"
 
 
 def _write(text: str, out_path, summary: Optional[str] = None) -> int:
@@ -70,15 +66,7 @@ def _write(text: str, out_path, summary: Optional[str] = None) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    model = load_model(args.model)
-    report = validate(model)
-    print(report)
-    return 0 if report.ok else 1
-
-
-def cmd_info(args) -> int:
-    model = _load_valid(args.model)
+def cmd_info(model: SncdModel, args) -> int:
     print(f"kind: {model.kind}")
     print(f"m: {model.m}")
     print(f"ambient_dim: {model.ambient_dim}")
@@ -89,16 +77,14 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_weight(args) -> int:
-    model = _load_valid(args.model)
+def cmd_weight(model: SncdModel, args) -> int:
     alpha = _parse_tuple(model, args.stratum, args.alpha)
     x = skeleton.SkeletonPoint(args.stratum, alpha)
     print(format_fraction(skeleton.weight(model, x)))
     return 0
 
 
-def cmd_retract(args) -> int:
-    model = _load_valid(args.model)
+def cmd_retract(model: SncdModel, args) -> int:
     values = _parse_tuple(model, args.stratum, args.values)
     x = skeleton.retract(model, skeleton.PointSpec(args.stratum, values))
     s = model.stratum(x.stratum)
@@ -107,14 +93,12 @@ def cmd_retract(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    model = _load_valid(args.model)
+def cmd_classify(model: SncdModel, args) -> int:
     print(skeleton.classify_face(model, args.stratum))
     return 0
 
 
-def cmd_blowup(args) -> int:
-    model = _load_valid(args.model)
+def cmd_blowup(model: SncdModel, args) -> int:
     if args.stratum and args.point:
         raise DomainError("choose either --stratum or --point, not both")
     if args.stratum:
@@ -129,61 +113,53 @@ def cmd_blowup(args) -> int:
         out, e_id, _ = modify.blowup_point(model, stratum_id, center, codim)
     else:
         raise DomainError("blowup needs --stratum or --point")
-    c = out.component(e_id)
-    summary = f"new vertex: {e_id} (N={c.N}, mu={c.mu})"
+    summary = f"new vertex: {e_id} ({_data(out.component(e_id))})"
     return _write(serialize_model(out), args.output, summary)
 
 
-def cmd_reduce(args) -> int:
-    model = _load_valid(args.model)
+def cmd_reduce(model: SncdModel, args) -> int:
     alpha = _parse_tuple(model, args.stratum, args.alpha)
     x = skeleton.SkeletonPoint(args.stratum, alpha)
     final, comp_id, trace = modify.reduce_to_divisorial(model, x)
-    for k, step in enumerate(trace.steps, start=1):
-        c = final.component(step.new_vertex)
-        print(
-            f"step {k}: center={{{','.join(step.center_vertices)}}} "
-            f"codim={step.codim} -> {step.new_vertex} (N={c.N}, mu={c.mu})"
-        )
-    c = final.component(comp_id)
-    print(f"final: {comp_id} (N={c.N}, mu={c.mu})")
+    lines = [
+        f"step {k}: center={{{','.join(step.center_vertices)}}} codim={step.codim} "
+        f"-> {step.new_vertex} ({_data(final.component(step.new_vertex))})"
+        for k, step in enumerate(trace.steps, start=1)
+    ]
+    lines.append(f"final: {comp_id} ({_data(final.component(comp_id))})")
+    print("\n".join(lines))
     return 0
 
 
-def cmd_ks(args) -> int:
-    model = _load_valid(args.model)
+def cmd_ks(model: SncdModel, args) -> int:
     form = load_form(args.form) if args.form else None
     lo, sub = essential.minimal_skeleton(model, form)
     _print_subcomplex(sub, model, prefix=f"min={format_fraction(lo)}; ")
     return 0
 
 
-def cmd_essential(args) -> int:
-    model = _load_valid(args.model)
+def cmd_essential(model: SncdModel, args) -> int:
     forms = [load_form(p) for p in args.form]
     sub = essential.essential_skeleton(model, forms)
     _print_subcomplex(sub, model)
     return 0
 
 
-def cmd_lct(args) -> int:
-    model = _load_valid(args.model)
+def cmd_lct(model: SncdModel, args) -> int:
     threshold, pair = birational.threshold_locus(model)
     ids = ",".join(sorted(pair.strata))
     print(f"lct={format_fraction(threshold)}; sk_pair={{{ids}}}")
     return 0
 
 
-def cmd_report(args) -> int:
-    model = _load_valid(args.model)
+def cmd_report(model: SncdModel, args) -> int:
     for block, ok in birational.connectedness_report(model):
         ids = ",".join(sorted(block))
         print(f"component {{{ids}}}: threshold locus connected={str(ok).lower()}")
     return 0
 
 
-def cmd_export(args) -> int:
-    model = _load_valid(args.model)
+def cmd_export(model: SncdModel, args) -> int:
     text = serialize_model(model) if args.format == "structured" else _to_dot(model)
     return _write(text, args.output)
 
@@ -232,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    add("validate", cmd_validate, "check every structural invariant")
+    add("validate", None, "check every structural invariant")
     add("info", cmd_info, "summarize a model")
 
     p = add("weight", cmd_weight, "weight of a skeleton point")
@@ -276,10 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        model = load_model(args.model)
+        report = validate(model)
+        if args.command == "validate":  # the report is the output
+            print(report)
+            return 0 if report.ok else 1
+        if not report.ok:
+            raise DomainError(f"{args.model} is not a valid model:\n{report}")
+        return args.fn(model, args)
     except ModelFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -10,30 +10,15 @@ no modification can shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError
 from .model import (
-    PrimeComponent, SncdModel, Stratum, _face_edges, _multiplicity,
+    FormData, PrimeComponent, SncdModel, Stratum, _face_edges, _multiplicity,
     connected_components, validate,
 )
-
-
-@dataclass(frozen=True)
-class FormData:
-    """Weight data of one form overlaid on a model.
-
-    mu must cover every component; flag maps may be partial (missing
-    strata default to off) but must satisfy the same monotonicity as
-    stratum flags: a face of a stratum with a flag off has it off too.
-    """
-
-    m: int
-    mu: dict[str, int]
-    touches_zero: dict[str, bool] = field(default_factory=dict)
-    touches_pole: dict[str, bool] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,21 @@ class Stratum:
 
 
 @dataclass(frozen=True)
+class FormData:
+    """Weight data of one form overlaid on a model.
+
+    mu must cover every component; flag maps may be partial (missing
+    strata default to off) but must satisfy the same monotonicity as
+    stratum flags: a face of a stratum with a flag off has it off too.
+    """
+
+    m: int
+    mu: dict[str, int]
+    touches_zero: dict[str, bool] = field(default_factory=dict)
+    touches_pole: dict[str, bool] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class Violation:
     """One validation failure: a stable code plus a readable message."""
 

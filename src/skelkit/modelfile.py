@@ -25,12 +25,12 @@ escaper and runs at C-encoder speed.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import DomainError, ModelFormatError
-from .essential import FormData
-from .model import PrimeComponent, SncdModel, Stratum
+from .model import FormData, PrimeComponent, SncdModel, Stratum
 from .series import SeriesPair, Support
 
 _COMPONENT_KEYS = {"id", "name", "N", "mu"}
@@ -50,7 +50,15 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def format_fraction(q: Fraction) -> str:
-    return str(q)
+    try:
+        return str(q)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        raise _too_long() from None
+
+
+def _too_long() -> DomainError:
+    limit = sys.get_int_max_str_digits()
+    return DomainError(f"the result has an integer past the interpreter's {limit}-digit limit")
 
 
 def _expect(cond: bool, message: str, where: str):
@@ -211,7 +219,10 @@ def load_form(path) -> FormData:
 
 def _num(x) -> str:
     """An int or a bool as json.dumps writes it."""
-    return ("false", "true")[x] if x.__class__ is bool else int.__repr__(x)
+    try:
+        return ("false", "true")[x] if x.__class__ is bool else int.__repr__(x)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        raise _too_long() from None
 
 
 def _block(open_: str, lines, close: str, pad: str) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Optional
 
 from .errors import DomainError, UnsupportedCenterError
@@ -87,16 +87,9 @@ def _new_trace(model: SncdModel) -> BlowupTrace:
     return BlowupTrace(pullback={c.id: {c.id: 1} for c in model.components})
 
 
-def _fresh_component_id(model: SncdModel | _Complex, start: int = 1) -> tuple[str, int]:
-    """The first exc<k> with k >= start that names no component, and its k.
-
-    A loop that adds exc<k> and resumes at k + 1 gets the ids a scan
-    from 1 would give, without rescanning the components it added.
-    """
-    k = start
-    while f"exc{k}" in model._components_by_id:
-        k += 1
-    return f"exc{k}", k
+def _exc_ids(model: SncdModel | _Complex):
+    """exc1, exc2, ... minus the model's component ids, each checked when drawn."""
+    return (f"exc{k}" for k in count(1) if f"exc{k}" not in model._components_by_id)
 
 
 def _stratum_namer(model: SncdModel | _Complex, freed: frozenset[str] = frozenset()):
@@ -240,7 +233,7 @@ def blowup_stratum(
             f"accepted as stratum centers"
         )
     work = _Complex(model)
-    e_id, _ = _fresh_component_id(work)
+    e_id = next(_exc_ids(work))
     trace = _new_trace(model)
     trace.extend(_subdivide(work, stratum_id, e_id))
     return work.freeze(), e_id, trace
@@ -281,7 +274,7 @@ def blowup_point(
             )
         return blowup_stratum(model, stratum_id)
 
-    e_id, _ = _fresh_component_id(model)
+    e_id = next(_exc_ids(model))
     mu_e = sum(model.component(v).mu for v in J) + model.m * (codim - len(J))
 
     fresh_name = _stratum_namer(model)
@@ -389,10 +382,9 @@ def reduce_to_divisorial(
     trace = _new_trace(model)
     work = _Complex(model)
     stratum_id, alpha = x.stratum, dict(x.alpha)
-    k = 0
+    exc_ids = _exc_ids(work)
     while work.stratum(stratum_id).r > 1:
-        e_id, k = _fresh_component_id(work, k + 1)
-        step = _subdivide(work, stratum_id, e_id)
+        step = _subdivide(work, stratum_id, next(exc_ids))
         trace.extend(step)
         stratum_id, alpha = _apply_step(step, stratum_id, alpha)
     comp_id = work.stratum(stratum_id).vertices[0]

@@ -129,6 +129,26 @@ def test_blowup_point(tmp_path, capsys):
 def test_blowup_requires_a_center(capsys):
     code, _, err = run(capsys, "blowup", path("edge_23"))
     assert code == 1 and "needs" in err
+    code, _, err = run(
+        capsys, "blowup", path("edge_23"), "--stratum", "e_A_B", "--point", "e_A_B", "A,B", "2"
+    )
+    assert code == 1 and "choose either" in err
+
+
+def test_a_result_past_the_digit_limit_exits_1(tmp_path):
+    """Both N at the interpreter's digit limit: the model validates, but the
+    exceptional N of a blow-up has one digit more and cannot be printed."""
+    digits = sys.get_int_max_str_digits()
+    big = tmp_path / "big.model"
+    big.write_text(re.sub(r'"N": \d+', '"N": ' + "9" * digits, bundled_path("edge_23").read_text()))
+    assert run_cli(["validate", str(big)])[:2] == (0, "valid\n")
+    written = tmp_path / "out.model"
+    for center in (["--stratum", "e_A_B"], ["--point", "e_A_B", "A,B", "2"]):
+        for output in ([], ["-o", str(written)]):
+            code, out, err = run_cli(["blowup", str(big), *center, *output])
+            assert code == 1 and out == "" and "Traceback" not in err, err
+            assert len(err.splitlines()) == 1 and "digit limit" in err
+    assert not written.exists()
 
 
 def test_reduce(capsys):
@@ -179,6 +199,12 @@ def test_ks_empty_skeleton_is_flagged(tmp_path, capsys):
     code, out, _ = run(capsys, "ks", path("edge_23"), "--form", str(form))
     assert code == 0 and out == "min=1/3; strata={}; connected=false (empty)\n"
 
+    empty = tmp_path / "empty.model"
+    sk.save_model(sk.SncdModel(sk.KIND_SNCD, 1, 2, (), ()), empty)
+    assert run(capsys, "validate", str(empty))[:2] == (0, "valid\n")
+    code, out, err = run(capsys, "ks", str(empty))
+    assert code == 1 and out == "" and "model has no components" in err
+
 
 def test_bad_form_file(tmp_path, capsys):
     form = tmp_path / "form.json"
@@ -217,12 +243,21 @@ def test_lct_and_report(capsys):
     assert code == 1 and "log-resolution" in err
 
 
-def test_export_graph_marks_the_minimal_locus(capsys):
+def test_export_graph_marks_the_minimal_locus(tmp_path, capsys):
     code, out, _ = run(capsys, "export", path("kodaira_I0star"))
     assert code == 0
     assert out.startswith("graph dual_complex {")
     assert '"v_C" [label="v_C: C (N=2, mu=1)", style=filled' in out
     assert '"e_C_T1" -- "v_C";' in out
+
+    # a form with poles has no minimal locus, so nothing is filled
+    comps = [("A", "A", 2, 1), ("B", "B", 3, 1)]
+    flags = {"v_A": (False, True), "v_B": (False, True), "e_A_B": (False, True)}
+    poles = tmp_path / "poles.model"
+    sk.save_model(sk.graph_model(sk.KIND_SNCD, 1, 2, comps, [("e_A_B", "A", "B")], flags), poles)
+    assert run(capsys, "validate", str(poles))[:2] == (0, "valid\n")
+    code, out, _ = run(capsys, "export", str(poles))
+    assert code == 0 and out.count("[label=") == 3 and "filled" not in out
 
 
 def test_export_graph_escapes_quotes_and_backslashes(tmp_path, capsys):

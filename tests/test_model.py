@@ -51,6 +51,12 @@ def test_face_walks():
         sk.face(m, "s_A_B_C", [])
     with pytest.raises(sk.DomainError):
         sk.face(m, "s_A_B", ["C"])
+    # a stratum whose face map lacks a vertex has no face without it
+    bare = m.replace(strata=tuple(
+        sk.Stratum(s.id, s.vertices) if s.id == "s_A_B_C" else s for s in m.strata
+    ))
+    with pytest.raises(sk.DomainError, match="no face map for vertex"):
+        sk.face(bare, "s_A_B_C", ["A", "B"])
 
 
 def test_is_face_and_cofaces():

@@ -1,7 +1,10 @@
 """Model documents: strict parsing, canonical serialization."""
 
+import ast
 import importlib.util
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -152,3 +155,32 @@ def test_serialization_is_canonical():
         m.kind, m.m, m.ambient_dim, m.components[::-1], m.strata[::-1]
     )
     assert sk.serialize_model(shuffled) == sk.serialize_model(m)
+
+
+def test_an_integer_too_long_to_print_is_a_domain_error():
+    digits = sys.get_int_max_str_digits()
+    big = sk.graph_model(sk.KIND_SNCD, 1, 2, [("A", "A", 10**digits, 1)], [])
+    with pytest.raises(sk.DomainError, match="digit limit"):
+        sk.serialize_model(big)
+    with pytest.raises(sk.DomainError, match="digit limit"):
+        sk.format_fraction(Fraction(1, 10**digits))
+
+
+def _package_imports(path):
+    """The skelkit modules a source file imports, relatively or by absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["skelkit" if node.level else None, node.module]))
+            names = [f"{module}.{a.name}" for a in node.names] if module == "skelkit" else [module]
+        else:
+            continue
+        found |= {n.split(".")[1] for n in names if n.startswith("skelkit.")}
+    return found
+
+
+def test_the_file_layer_imports_no_skeleton_layer():
+    source = Path(__file__).resolve().parents[1] / "src" / "skelkit" / "modelfile.py"
+    assert _package_imports(source) <= {"errors", "model", "series"}

@@ -144,6 +144,21 @@ def test_transfer_tie_goes_to_the_new_vertex(bundled):
     assert y.alpha == {e: F(1, 5)}
 
 
+def test_transfer_carries_coordinates_from_outside_the_center():
+    m = triangle(n=(1, 2, 1), mu=(1, 1, 2))
+    x = sk.SkeletonPoint("s_A_B", {"A": F(1, 3), "B": F(1, 3)})
+    out, e, trace = sk.reduce_to_divisorial(m, x)
+    assert e == "exc1" and len(trace.steps) == 1
+    # the center is {A, B}; C's coordinate rides along unchanged
+    x = sk.SkeletonPoint("s_A_B_C", {"A": F(1, 5), "B": F(1, 5), "C": F(2, 5)})
+    y = sk.transfer_point(m, out, trace, x)
+    assert y.stratum == f"f_{e}_C"
+    assert y.alpha == {e: F(1, 5), "C": F(2, 5)}
+    assert sk.weight(out, y) == sk.weight(m, x) == F(6, 5)
+    for cid in ("A", "B", "C"):
+        assert sk.pullback_value(out, trace, y, cid) == sk.value_on_component(m, x, cid)
+
+
 def test_transfer_needs_the_right_target(bundled):
     m = bundled["edge_23"]
     _, _, trace = sk.blowup_stratum(m, "e_A_B")
@@ -283,4 +298,16 @@ def test_fresh_ids_avoid_collisions():
     m = sk.graph_model(sk.KIND_SNCD, 1, 2, comps, [("e", "exc1", "B")])
     out, e, _ = sk.blowup_stratum(m, "e")
     assert e == "exc2"
+    assert sk.validate(out).ok
+
+
+def test_new_strata_names_avoid_taken_ids():
+    # an edge already holds the name the new vertex's singleton stratum would get
+    comps = [("A", "A", 1, 1), ("B", "B", 2, 1), ("C", "C", 1, 2)]
+    m = sk.graph_model(sk.KIND_SNCD, 1, 2, comps, [("v_exc1", "A", "B"), ("e_B_C", "B", "C")])
+    assert sk.validate(m).ok
+    out, e, trace = sk.blowup_stratum(m, "e_B_C")
+    assert e == "exc1"
+    assert trace.steps[0].replacements["e_B_C"][()] == "v_exc1~2"
+    assert out.singleton(e).id == "v_exc1~2" and out.stratum("v_exc1").vertices == ("A", "B")
     assert sk.validate(out).ok
