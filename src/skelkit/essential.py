@@ -139,7 +139,8 @@ def essential_skeleton(model: SncdModel, forms: Sequence[FormData]) -> Subcomple
     strata: frozenset[str] = frozenset()
     for f in forms:
         strata |= ks_skeleton(model, f).strata
-    return subcomplex(model, strata)
+    # each part passed subcomplex(), and a union of face-closed sets is face-closed
+    return Subcomplex(strata)
 
 
 def is_connected(model: SncdModel, sub: Subcomplex) -> bool:

@@ -231,8 +231,9 @@ def cofaces(model: SncdModel, stratum_id: str) -> list[str]:
     """All strata having the given stratum as an iterated face, itself included.
 
     Walks up the model's coface index, so the cost is the size of the
-    star; every iterated coface is reached that way, and is_face keeps
-    the answer to those it really is a face of.  Sorted by id.
+    star.  On a model validate accepts, each index edge is a facet
+    relation, so every stratum reached is an iterated coface; on one it
+    rejects, the walk follows the face maps as written.  Sorted by id.
     """
     model.stratum(stratum_id)
     index = model._coface_index
@@ -242,18 +243,13 @@ def cofaces(model: SncdModel, stratum_id: str) -> list[str]:
             if up not in star:
                 star.add(up)
                 todo.append(up)
-    return sorted(t for t in star if is_face(model, stratum_id, t))
+    return sorted(star)
 
 
 def is_maximal(model: SncdModel, stratum_id: str) -> bool:
-    """True iff no other stratum has this one as a face.
-
-    A stratum no face map points at is maximal; that is a lookup.
-    """
+    """True iff no face map points at the stratum: one coface index lookup."""
     model.stratum(stratum_id)
-    if not model._coface_index.get(stratum_id):
-        return True
-    return cofaces(model, stratum_id) == [stratum_id]
+    return not model._coface_index.get(stratum_id)
 
 
 class _Complex:
@@ -262,7 +258,7 @@ class _Complex:
     It copies the model's id maps and coface index (as sets) once; each
     blow-up then adds its vertex and swaps its star's strata at the cost
     of the star, and freeze() builds the one SncdModel a caller sees.
-    face, is_face and cofaces accept it in place of a model.
+    face and cofaces accept it in place of a model.
     """
 
     # the model's lookups, run on this object's own maps

@@ -46,7 +46,10 @@ def parse_fraction(text: str) -> Fraction:
             raise ValueError("exponent notation is not accepted")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational number: {text!r} ({exc})") from None
+        # the text, and the exception's tail that repeats it, can run to any length
+        shown = repr(text) if len(text) <= 40 else f"{text[:30]!r}... ({len(text)} characters)"
+        reason = str(exc).split(":")[0]
+        raise DomainError(f"not a rational number: {shown} ({reason})") from None
 
 
 def format_fraction(q: Fraction) -> str:

@@ -95,8 +95,8 @@ def check_point(model: SncdModel, x: SkeletonPoint) -> Stratum:
 def embed(model: SncdModel, p: BarycentricPoint) -> SkeletonPoint:
     """Convert barycentric coordinates to normalized alpha coordinates.
 
-    alpha_j = w_j / N_j; the normalization sum(alpha_j * N_j) = 1 is
-    then automatic from sum(w_j) = 1.
+    alpha_j = w_j / N_j, so sum(alpha_j * N_j) = sum(w_j); check_point
+    rejects the point unless the w_j are positive and sum to 1.
 
     >>> from fractions import Fraction as F
     >>> from .complexes import graph_model
@@ -107,15 +107,9 @@ def embed(model: SncdModel, p: BarycentricPoint) -> SkeletonPoint:
     >>> x.alpha["A"], x.alpha["B"]
     (Fraction(1, 4), Fraction(1, 6))
     """
-    s = _stratum_and_check(model, p.stratum, p.w)
-    if any(w <= 0 for w in p.w.values()):
-        raise DomainError("barycentric coordinates must be positive")
-    if sum(p.w.values()) != 1:
-        raise DomainError(
-            f"barycentric coordinates must sum to 1, got {_shown(sum(p.w.values()))}"
-        )
-    alpha = {v: p.w[v] / model.component(v).N for v in s.vertices}
-    return SkeletonPoint(p.stratum, alpha)
+    x = SkeletonPoint(p.stratum, {v: w / model.component(v).N for v, w in p.w.items()})
+    check_point(model, x)
+    return x
 
 
 def to_barycentric(model: SncdModel, x: SkeletonPoint) -> BarycentricPoint:

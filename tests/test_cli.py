@@ -81,6 +81,16 @@ def test_weight_rejects_bad_points(capsys):
     assert code == 1 and "2 vertices" in err
 
 
+@pytest.mark.parametrize("first", ["1/" + "3" * 5000, "x" * 3000])
+def test_a_long_bad_rational_is_reported_in_one_short_line(first):
+    code, out, err = run_cli(
+        ["weight", path("edge_23"), "--stratum", "e_A_B", "--alpha", f"{first},1/6"]
+    )
+    assert code == 1 and out == "" and len(err.splitlines()) == 1, err
+    assert len(err.encode()) < 200 and "set_int_max_str_digits" not in err
+    assert f"({len(first)} characters)" in err
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", path("edge_23"), "--stratum", "e_A_B")
     assert code == 0 and out == "affine\n"

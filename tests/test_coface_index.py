@@ -159,18 +159,18 @@ def test_reduction_fills_the_gaps_in_the_exc_ids():
     assert [s.new_vertex for s in trace.steps] == ["exc1", "exc3", "exc6", "exc7"]
 
 
-def test_reduction_calls_is_face_linearly_often(monkeypatch):
+def test_reduction_looks_up_strata_linearly_often(monkeypatch):
     # the edge point 1:k takes k blow-ups; scanning every stratum for the
-    # cofaces of each center would call is_face about k^2 / 2 times
-    k = 400
+    # cofaces of each center would look strata up about k^2 times.  face
+    # calls would not show that: is_face rejects most strata before face
     calls = []
-    is_face = skelkit.model.is_face
+    k, stratum = 400, skelkit.model._Complex.stratum
 
     def counted(*args):
         calls.append(None)
-        return is_face(*args)
+        return stratum(*args)
 
-    monkeypatch.setattr(skelkit.model, "is_face", counted)
+    monkeypatch.setattr(skelkit.model._Complex, "stratum", counted)
     edge = sk.graph_model(
         sk.KIND_SNCD, 1, 2, [("A", "A", 1, 1), ("B", "B", 1, 1)], [("e", "A", "B")]
     )

@@ -1,0 +1,97 @@
+"""Model independence of the Kontsevich-Soibelman skeleton.
+
+Blow-ups and reductions change the model but not Sk(X, omega): after every
+step the minimum of the weight function, the number of connected pieces of
+the skeleton and membership of transferred points in it stay the same, and
+an exceptional component over a generic point center never joins it.
+"""
+
+import dataclasses
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import skelkit as sk
+from conftest import (
+    KODAIRA_NAMES, load_bundled, random_complex_model, random_graph_model, random_point,
+)
+
+
+def _tied(rng, model):
+    """The model with mu = lo * N on some components, the rest above lo, and
+    touches_zero on the cofaces of a few random strata (an upward-closed set)."""
+    lo = F(rng.randint(1, 3), rng.randint(1, 2))
+    comps = []
+    for c in model.components:
+        mu = math.ceil(lo * c.N)
+        if mu == lo * c.N and rng.random() < 0.5:
+            mu += rng.randint(1, 2)
+        comps.append(dataclasses.replace(c, mu=mu))
+    zero = set()
+    for _ in range(rng.randint(0, 2)):
+        zero.update(sk.cofaces(model, rng.choice(model.strata).id))
+    strata = [dataclasses.replace(s, touches_zero=s.id in zero) for s in model.strata]
+    return sk.SncdModel(model.kind, model.m, model.ambient_dim, comps, strata)
+
+
+def _step(rng, model):
+    """One random blow-up or reduction: (new model, trace, point center's new vertex or None)."""
+    tops = [s for s in model.strata if sk.is_maximal(model, s.id)]
+    edges = [s for s in model.strata if s.r >= 2]
+    choice = rng.choice(["point", "stratum", "reduce"] if edges else ["point"])
+    if choice == "point":
+        s = rng.choice(tops)
+        J = tuple(rng.sample(s.vertices, rng.randint(1, min(s.r, model.ambient_dim - 1))))
+        codim = rng.randint(len(J) + 1, model.ambient_dim)
+        out, e, trace = sk.blowup_point(model, s.id, J, codim)
+        return out, trace, e
+    if choice == "stratum":
+        s = rng.choice([s for s in tops if s.r >= 2])
+        out, _, trace = sk.blowup_stratum(model, s.id)
+        return out, trace, None
+    x = random_point(rng, model, rng.choice(edges).id)
+    out, _, trace = sk.reduce_to_divisorial(model, x)
+    return out, trace, None
+
+
+def _pieces(model, sub):
+    return len(sk.connected_components(model, sorted(sub.strata)))
+
+
+def assert_steps_keep_the_skeleton(rng, model, steps):
+    assert sk.validate(model).ok
+    lo, sk_old = sk.min_weight(model), sk.ks_skeleton(model)
+    pieces = _pieces(model, sk_old)
+    for _ in range(steps):
+        out, trace, e = _step(rng, model)
+        assert sk.validate(out).ok
+        sk_new = sk.ks_skeleton(out)
+        assert sk.min_weight(out) == lo
+        assert _pieces(out, sk_new) == pieces
+        for s in model.strata:
+            y = sk.transfer_point(model, out, trace, random_point(rng, model, s.id))
+            assert (y.stratum in sk_new) == (s.id in sk_old), (s.id, y)
+        if e is not None:
+            c = out.component(e)
+            assert F(c.mu, c.N) > lo
+        model, sk_old = out, sk_new
+    return pieces
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_blowups_keep_the_skeleton_of_random_models(rng):
+    build = random_graph_model if rng.random() < 0.5 else random_complex_model
+    model = _tied(rng, build(rng))
+    assert_steps_keep_the_skeleton(rng, model, rng.randint(1, 4))
+
+
+@pytest.mark.parametrize("name", KODAIRA_NAMES)
+def test_blowups_keep_the_kodaira_skeleta_connected(name):
+    rng = random.Random(name)
+    model = load_bundled(name)
+    for _ in range(3):
+        assert assert_steps_keep_the_skeleton(rng, model, rng.randint(1, 4)) == 1
