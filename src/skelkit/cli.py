@@ -30,7 +30,7 @@ from .modelfile import (
 def _parse_tuple(model: SncdModel, stratum_id: str, text: str) -> dict[str, Fraction]:
     """Comma-separated rationals in the stratum's vertex order."""
     s = model.stratum(stratum_id)
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")  # an empty entry is a value too, and parse_fraction refuses it
     if len(parts) != len(s.vertices):
         raise DomainError(
             f"stratum {stratum_id!r} has {len(s.vertices)} vertices "

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from .errors import DomainError
 from .model import (
-    FormData, PrimeComponent, SncdModel, Stratum, _face_edges, _multiplicity,
-    connected_components, validate,
+    KIND_LOG_RESOLUTION, FormData, PrimeComponent, SncdModel, Stratum, ValidationReport,
+    Violation, _face_edges, _multiplicity, connected_components,
 )
 
 
@@ -43,14 +43,8 @@ def subcomplex(model: SncdModel, stratum_ids) -> Subcomplex:
     return Subcomplex(ids)
 
 
-def apply_form(model: SncdModel, form: FormData) -> SncdModel:
-    """Overlay a form's weight data on a model.
-
-    Produces a model with the form's m, mu and flags; stratum expansion
-    data is dropped since it described the original form.  A form that
-    names a component or stratum the model lacks is rejected: the typo
-    would otherwise change the answer silently.
-    """
+def _check_form(model: SncdModel, form: FormData):
+    """Check a form's ids, degree and flags against a valid model, as validate would."""
     comp_ids, strata_ids = model._components_by_id.keys(), model._strata_by_id.keys()
     flagged = form.touches_zero.keys() | form.touches_pole.keys()
     for problem, ids in (
@@ -60,29 +54,46 @@ def apply_form(model: SncdModel, form: FormData) -> SncdModel:
     ):
         if ids:
             raise DomainError(f"form {problem} {sorted(ids)}")
-    comps = tuple(
-        PrimeComponent(c.id, c.name, c.N, form.mu[c.id]) for c in model.components
-    )
+    out = []  # what validate reports on the overlaid model, in its order
+    if form.m < 1:
+        out.append(Violation("form-degree", f"m must be >= 1, got {form.m}"))
+    if model.kind == KIND_LOG_RESOLUTION and form.m != 1:
+        out.append(Violation("kind", f"log-resolution models fix m = 1, got m = {form.m}"))
+    flags = (("touches_zero", form.touches_zero), ("touches_pole", form.touches_pole))
+    if any(any(on.values()) for _, on in flags):  # with every flag off there is no break
+        for sid, tid in _face_edges(model, model._strata_by_id):
+            for flag, on in flags:
+                if on.get(tid) and not on.get(sid):
+                    message = f"stratum {sid!r} has {flag} off but its face {tid!r} has it on"
+                    out.append(Violation("flag monotonicity", message))
+    if out:
+        raise DomainError(f"form data breaks the model: {ValidationReport(tuple(out))}")
+
+
+def apply_form(model: SncdModel, form: FormData) -> SncdModel:
+    """Overlay a form's weight data on a model.
+
+    Produces a model with the form's m, mu and flags; stratum expansion
+    data is dropped since it described the original form.  A form that
+    names a component or stratum the model lacks is rejected: the typo
+    would otherwise change the answer silently.
+    """
+    _check_form(model, form)
+    comps = tuple(PrimeComponent(c.id, c.name, c.N, form.mu[c.id]) for c in model.components)
+    zero, pole = form.touches_zero, form.touches_pole
     strata = tuple(
-        Stratum(
-            s.id,
-            s.vertices,
-            dict(s.face_map),
-            form.touches_zero.get(s.id, False),
-            form.touches_pole.get(s.id, False),
-            None,
-        )
+        Stratum(s.id, s.vertices, dict(s.face_map), zero.get(s.id, False),
+                pole.get(s.id, False))
         for s in model.strata
     )
-    out = SncdModel(model.kind, form.m, model.ambient_dim, comps, strata)
-    report = validate(out)
-    if not report.ok:
-        raise DomainError(f"form data breaks the model: {report}")
-    return out
+    return SncdModel(model.kind, form.m, model.ambient_dim, comps, strata)
 
 
-def _resolved(model: SncdModel, form: Optional[FormData]) -> SncdModel:
-    return model if form is None else apply_form(model, form)
+def _flagged(model: SncdModel, form: Optional[FormData], flag: str) -> set[str]:
+    """Ids of the strata with a flag on: the form's flags if given, else the model's."""
+    if form is None:
+        return {s.id for s in model.strata if getattr(s, flag)}
+    return {sid for sid, on in getattr(form, flag).items() if on}
 
 
 def min_weight(model: SncdModel, form: Optional[FormData] = None) -> Fraction:
@@ -91,16 +102,22 @@ def min_weight(model: SncdModel, form: Optional[FormData] = None) -> Fraction:
     Requires a form without poles; the minimum is then attained at a
     vertex and equals min over components of mu_i / N_i.
     """
-    mdl = _resolved(model, form)
-    flagged = [s.id for s in mdl.strata if s.touches_pole]
-    if flagged:
+    if form is not None:
+        _check_form(model, form)
+    poles = _flagged(model, form, "touches_pole")
+    if poles:
         raise DomainError(
-            f"form has poles along strata {sorted(flagged)}; weights are "
+            f"form has poles along strata {sorted(poles)}; weights are "
             f"unbounded below and no minimum exists"
         )
-    if not mdl.components:
+    if not model.components:
         raise DomainError("model has no components")
-    return min(Fraction(c.mu, _multiplicity(c)) for c in mdl.components)
+    p = q = None  # the least mu / N so far, compared cross-multiplied
+    for c in model.components:
+        n, a = _multiplicity(c), c.mu if form is None else form.mu[c.id]
+        if q is None or a * q < p * n:
+            p, q = a, n
+    return Fraction(p, q)
 
 
 def ks_skeleton(model: SncdModel, form: Optional[FormData] = None) -> Subcomplex:
@@ -117,16 +134,17 @@ def ks_skeleton(model: SncdModel, form: Optional[FormData] = None) -> Subcomplex
 def minimal_skeleton(
     model: SncdModel, form: Optional[FormData] = None
 ) -> tuple[Fraction, Subcomplex]:
-    """min_weight and ks_skeleton together, resolving the form and taking the minimum once."""
-    mdl = _resolved(model, form)
-    lo = min_weight(mdl)
+    """min_weight and ks_skeleton together, checking the form and taking the minimum once."""
+    lo = min_weight(model, form)
+    mu = {c.id: c.mu for c in model.components} if form is None else form.mu
+    zero = _flagged(model, form, "touches_zero")
     # mu / N == lo, cross-multiplied: min_weight has checked every N >= 1
     minimal = {
-        c.id for c in mdl.components if c.mu * lo.denominator == lo.numerator * c.N
+        c.id for c in model.components if mu[c.id] * lo.denominator == lo.numerator * c.N
     }
     chosen = [
-        s.id for s in mdl.strata
-        if not s.touches_zero and all(v in minimal for v in s.vertices)
+        s.id for s in model.strata
+        if s.id not in zero and all(v in minimal for v in s.vertices)
     ]
     return lo, subcomplex(model, chosen)
 

@@ -75,6 +75,8 @@ class FormData:
     mu must cover every component; flag maps may be partial (missing
     strata default to off) but must satisfy the same monotonicity as
     stratum flags: a face of a stratum with a flag off has it off too.
+    `essential._check_form` checks a form's ids, degree and flags
+    against a valid model.
     """
 
     m: int

@@ -198,7 +198,10 @@ def load_model(path) -> SncdModel:
 
 
 def load_form(path) -> FormData:
-    """Read a form document; its shapes are checked here, its ids by apply_form."""
+    """Read a form document; its shapes are checked here.
+
+    `essential._check_form` checks its ids, degree and flags against a valid model.
+    """
     doc, where = _json(_read(path), f"{path}: "), str(path)
     _expect(isinstance(doc, dict), "form document must be a JSON object", where)
     _keys(doc, {"m", "mu", "touches_zero", "touches_pole"}, where)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,15 @@ def test_weight_rejects_bad_points(capsys):
         capsys, "weight", path("edge_23"), "--stratum", "e_A_B", "--alpha", "1/4"
     )
     assert code == 1 and "2 vertices" in err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("weight", "--alpha"), ("reduce", "--alpha"), ("retract", "--values"),
+])
+@pytest.mark.parametrize("text", ["1/4,,1/6", "1/4,1/6,", ",1/4,1/6", "1/4, ,1/6"])
+def test_an_empty_tuple_entry_is_refused(command, option, text):
+    code, out, err = run_cli([command, path("edge_23"), "--stratum", "e_A_B", option, text])
+    assert code == 1 and out == "" and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("first", ["1/" + "3" * 5000, "x" * 3000])
@@ -481,12 +491,13 @@ def _count_calls(monkeypatch, name, *modules):
 
 
 def test_ks_form_is_resolved_once(tmp_path, capsys, monkeypatch):
+    checked = _count_calls(monkeypatch, "_check_form", sk.essential)
     applied = _count_calls(monkeypatch, "apply_form", sk.essential)
     form = tmp_path / "form.json"
     form.write_text(json.dumps({"m": 1, "mu": {"A": 1, "B": 5}}))
     code, out, _ = run(capsys, "ks", path("edge_23"), "--form", str(form))
     assert code == 0 and out == "min=1/2; strata={v_A}; connected=true\n"
-    assert len(applied) == 1
+    assert len(checked) == 1 and len(applied) == 0
 
 
 def test_lct_takes_the_minimum_once(capsys, monkeypatch):
@@ -494,3 +505,22 @@ def test_lct_takes_the_minimum_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "lct", path("cusp"))
     assert code == 0 and out == "lct=5/6; sk_pair={v_E3}\n"
     assert len(minima) == 1
+
+
+def test_forms_are_read_without_an_overlay_or_validate(monkeypatch):
+    comps = [(f"C{i}", f"C{i}", 1 + i % 3, 1 + i % 5) for i in range(200)]
+    model = sk.cycle_model(sk.KIND_SNCD, 1, comps)
+    zero = dict.fromkeys(sk.cofaces(model, "v_C7"), True)
+    forms = [
+        sk.FormData(1, {c: (i * k) % 7 + 1 for i, (c, *_) in enumerate(comps)}, zero)
+        for k in (1, 2, 3)
+    ]
+    expected = sk.essential_skeleton(model, forms)
+    built = _count_calls(monkeypatch, "__post_init__", sk.SncdModel)
+    validated = _count_calls(monkeypatch, "validate", sk.model)
+    fractions = _count_calls(monkeypatch, "Fraction", sk.essential)
+    assert sk.essential_skeleton(model, forms) == expected
+    assert len(fractions) == 3  # one minimum per form
+    assert sk.min_weight(model, forms[0]) == Fraction(1, 3)
+    assert len(fractions) == 4
+    assert built == [] and validated == []

@@ -3,7 +3,9 @@
 Blow-ups and reductions change the model but not Sk(X, omega): after every
 step the minimum of the weight function, the number of connected pieces of
 the skeleton and membership of transferred points in it stay the same, and
-an exceptional component over a generic point center never joins it.
+an exceptional component over a generic point center never joins it.  The
+union of the skeleta of several forms, each carried across a step by
+blowing up its overlay the same way, keeps its number of pieces too.
 """
 
 import dataclasses
@@ -38,7 +40,8 @@ def _tied(rng, model):
 
 
 def _step(rng, model):
-    """One random blow-up or reduction: (new model, trace, point center's new vertex or None)."""
+    """A random blow-up or reduction of the model's complex, as a function that runs it on
+    any model with that complex: (new model, trace, point center's new vertex or None)."""
     tops = [s for s in model.strata if sk.is_maximal(model, s.id)]
     edges = [s for s in model.strata if s.r >= 2]
     choice = rng.choice(["point", "stratum", "reduce"] if edges else ["point"])
@@ -46,15 +49,17 @@ def _step(rng, model):
         s = rng.choice(tops)
         J = tuple(rng.sample(s.vertices, rng.randint(1, min(s.r, model.ambient_dim - 1))))
         codim = rng.randint(len(J) + 1, model.ambient_dim)
-        out, e, trace = sk.blowup_point(model, s.id, J, codim)
-        return out, trace, e
+
+        def point(mdl):
+            out, e, trace = sk.blowup_point(mdl, s.id, J, codim)
+            return out, trace, e
+
+        return point
     if choice == "stratum":
         s = rng.choice([s for s in tops if s.r >= 2])
-        out, _, trace = sk.blowup_stratum(model, s.id)
-        return out, trace, None
+        return lambda mdl: (*sk.blowup_stratum(mdl, s.id)[::2], None)
     x = random_point(rng, model, rng.choice(edges).id)
-    out, _, trace = sk.reduce_to_divisorial(model, x)
-    return out, trace, None
+    return lambda mdl: (*sk.reduce_to_divisorial(mdl, x)[::2], None)
 
 
 def _pieces(model, sub):
@@ -66,7 +71,7 @@ def assert_steps_keep_the_skeleton(rng, model, steps):
     lo, sk_old = sk.min_weight(model), sk.ks_skeleton(model)
     pieces = _pieces(model, sk_old)
     for _ in range(steps):
-        out, trace, e = _step(rng, model)
+        out, trace, e = _step(rng, model)(model)
         assert sk.validate(out).ok
         sk_new = sk.ks_skeleton(out)
         assert sk.min_weight(out) == lo
@@ -95,3 +100,26 @@ def test_blowups_keep_the_kodaira_skeleta_connected(name):
     model = load_bundled(name)
     for _ in range(3):
         assert assert_steps_keep_the_skeleton(rng, model, rng.randint(1, 4)) == 1
+
+
+def _form_of(model):
+    """The weight data a model carries, as a form: mu and the strata that touch zero."""
+    return sk.FormData(
+        model.m, {c.id: c.mu for c in model.components},
+        {s.id: True for s in model.strata if s.touches_zero},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_blowups_keep_the_pieces_of_the_essential_skeleton(rng):
+    """Each form is carried across a step by blowing up its overlay the same way."""
+    build = random_graph_model if rng.random() < 0.5 else random_complex_model
+    model = build(rng)
+    forms = [_form_of(_tied(rng, model)) for _ in range(rng.randint(2, 3))]
+    pieces = _pieces(model, sk.essential_skeleton(model, forms))
+    for _ in range(rng.randint(1, 3)):
+        step = _step(rng, model)
+        forms = [_form_of(step(sk.apply_form(model, f))[0]) for f in forms]
+        model = step(model)[0]
+        assert _pieces(model, sk.essential_skeleton(model, forms)) == pieces
