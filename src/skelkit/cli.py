@@ -27,6 +27,9 @@ from .modelfile import (
 )
 
 
+_MAX_REDUCE_STEPS = 100_000  # one blow-up and one output line each
+
+
 def _parse_tuple(model: SncdModel, stratum_id: str, text: str) -> dict[str, Fraction]:
     """Comma-separated rationals in the stratum's vertex order."""
     s = model.stratum(stratum_id)
@@ -120,6 +123,13 @@ def cmd_blowup(model: SncdModel, args) -> int:
 def cmd_reduce(model: SncdModel, args) -> int:
     alpha = _parse_tuple(model, args.stratum, args.alpha)
     x = skeleton.SkeletonPoint(args.stratum, alpha)
+    skeleton.check_point(model, x)  # the count needs positive coordinates
+    steps = modify._reduction_length(x.alpha)
+    if steps > _MAX_REDUCE_STEPS:
+        raise DomainError(
+            f"reducing this point takes {steps} blow-ups, more than the limit of "
+            f"{_MAX_REDUCE_STEPS}"
+        )
     final, comp_id, trace = modify.reduce_to_divisorial(model, x)
     lines = [
         f"step {k}: center={{{','.join(step.center_vertices)}}} codim={step.codim} "

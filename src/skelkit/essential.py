@@ -142,11 +142,13 @@ def minimal_skeleton(
     minimal = {
         c.id for c in model.components if mu[c.id] * lo.denominator == lo.numerator * c.N
     }
-    chosen = [
+    # face-closed without a walk: a face keeps the vertex test, and the zero flags,
+    # checked monotone by _check_form or validate, keep it off the zero locus
+    chosen = frozenset(
         s.id for s in model.strata
         if s.id not in zero and all(v in minimal for v in s.vertices)
-    ]
-    return lo, subcomplex(model, chosen)
+    )
+    return lo, Subcomplex(chosen)
 
 
 def essential_skeleton(model: SncdModel, forms: Sequence[FormData]) -> Subcomplex:
@@ -157,7 +159,7 @@ def essential_skeleton(model: SncdModel, forms: Sequence[FormData]) -> Subcomple
     strata: frozenset[str] = frozenset()
     for f in forms:
         strata |= ks_skeleton(model, f).strata
-    # each part passed subcomplex(), and a union of face-closed sets is face-closed
+    # a union of face-closed sets is face-closed
     return Subcomplex(strata)
 
 

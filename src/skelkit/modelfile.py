@@ -13,13 +13,16 @@ touches_pole maps from stratum id to bool.
 
 Parsing is strict about shapes (wrong types, unknown keys and malformed
 exponents are format errors with a location) but does not check the
-semantic invariants; run validate() on the parsed model for those.
+semantic invariants; run validate() on the parsed model for those.  It
+makes one pass per record: a component or stratum is tested whole and
+built directly, and only a record that fails goes through the strict
+field-by-field helpers, which name its first problem and its location.
 Serialization is canonical: ids sorted, keys in a fixed order, so equal
 models produce byte-identical documents.  The layout is exactly what
 json.dumps writes with an indent of 2, plus a trailing newline.  The
 standard library lays out indented JSON only in its pure-Python encoder,
-so serialize_model writes this fixed layout by hand around the C string
-escaper and runs at C-encoder speed.
+so serialize_model writes this fixed layout by hand, one template per
+component and stratum, around the C string escaper.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ _COMPONENT_KEYS = {"id", "name", "N", "mu"}
 _STRATUM_KEYS = {"id", "vertices", "faces", "touches_zero", "touches_pole", "horizontal"}
 _TOP_KEYS = {"kind", "m", "ambient_dim", "components", "strata"}
 _q = json.encoder.encode_basestring_ascii  # the C string escaper json.dumps uses
+_ITEM = ",\n        "  # between the items of a stratum's vertex list or face map
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -113,64 +117,69 @@ def parse_model(text: str) -> SncdModel:
     doc = _json(text)
     _expect(isinstance(doc, dict), "document must be a JSON object", "top level")
     _keys(doc, _TOP_KEYS, "top level")
-
     kind = _get(doc, "kind", str, "top level")
     m = _get(doc, "m", int, "top level")
     ambient = _get(doc, "ambient_dim", int, "top level")
-
-    comps = []
-    raw_components = _get(doc, "components", list, "top level")
-    for i, entry in enumerate(raw_components):
-        where = f"components[{i}]"
-        _expect(isinstance(entry, dict), "component must be an object", where)
-        _keys(entry, _COMPONENT_KEYS, where)
-        comps.append(
-            PrimeComponent(
-                _get(entry, "id", str, where),
-                _get(entry, "name", str, where),
-                _get(entry, "N", int, where),
-                _get(entry, "mu", int, where),
-            )
-        )
-
-    strata = []
-    raw_strata = _get(doc, "strata", list, "top level")
-    for i, entry in enumerate(raw_strata):
-        where = f"strata[{i}]"
-        _expect(isinstance(entry, dict), "stratum must be an object", where)
-        _keys(entry, _STRATUM_KEYS, where)
-        sid = _get(entry, "id", str, where)
-        vertices = _get(entry, "vertices", list, where)
-        _expect(
-            all(isinstance(v, str) for v in vertices),
-            "vertices must be strings",
-            f"{where}.vertices",
-        )
-        faces = _get(entry, "faces", dict, where, default={})
-        _expect(
-            all(isinstance(k, str) and isinstance(v, str) for k, v in faces.items()),
-            "faces must map vertex ids to stratum ids",
-            f"{where}.faces",
-        )
-        horizontal = None
-        if "horizontal" in entry:
-            horizontal = _parse_horizontal(
-                entry["horizontal"], sid, tuple(vertices), f"{where}.horizontal"
-            )
-        strata.append(
-            Stratum(
-                sid,
-                tuple(vertices),
-                dict(faces),
-                _get(entry, "touches_zero", bool, where, default=False),
-                _get(entry, "touches_pole", bool, where, default=False),
-                horizontal,
-            )
-        )
+    comps = [_component(e, i) for i, e in enumerate(_get(doc, "components", list, "top level"))]
+    strata = [_stratum(e, i) for i, e in enumerate(_get(doc, "strata", list, "top level"))]
     return SncdModel(kind, m, ambient, tuple(comps), tuple(strata))
 
 
-def _parse_horizontal(raw, stratum_id, vertices, where) -> SeriesPair:
+# json.loads yields exact dict, list, str, int, bool and None, so `type(x) is T`
+# tests a parsed value exactly and keeps bool apart from int.
+def _component(entry, i: int) -> PrimeComponent:
+    """One component, tested whole; a record that fails goes through the strict helpers."""
+    if (type(entry) is dict and entry.keys() == _COMPONENT_KEYS
+            and type(entry["id"]) is type(entry["name"]) is str
+            and type(entry["N"]) is type(entry["mu"]) is int):
+        return PrimeComponent(**entry)
+    where = f"components[{i}]"
+    _expect(isinstance(entry, dict), "component must be an object", where)
+    _keys(entry, _COMPONENT_KEYS, where)
+    return PrimeComponent(
+        _get(entry, "id", str, where),
+        _get(entry, "name", str, where),
+        _get(entry, "N", int, where),
+        _get(entry, "mu", int, where),
+    )
+
+
+def _stratum(entry, i: int) -> Stratum:
+    """One stratum, tested whole; a record that fails goes through the strict helpers."""
+    if type(entry) is dict and entry.keys() <= _STRATUM_KEYS:
+        sid, vertices, faces = entry.get("id"), entry.get("vertices"), entry.get("faces", {})
+        zero, pole = entry.get("touches_zero", False), entry.get("touches_pole", False)
+        if (type(sid) is str and type(vertices) is list and type(faces) is dict
+                and type(zero) is type(pole) is bool):
+            try:
+                "".join([*vertices, *faces, *faces.values()])  # raises unless all are strings
+            except TypeError:
+                pass
+            else:
+                vertices = tuple(vertices)
+                horizontal = _parse_horizontal(entry, sid, vertices, i)
+                return Stratum(sid, vertices, faces, zero, pole, horizontal)
+    where = f"strata[{i}]"
+    _expect(isinstance(entry, dict), "stratum must be an object", where)
+    _keys(entry, _STRATUM_KEYS, where)
+    sid = _get(entry, "id", str, where)
+    vertices = _get(entry, "vertices", list, where)
+    _expect(all(isinstance(v, str) for v in vertices), "vertices must be strings",
+            f"{where}.vertices")
+    faces = _get(entry, "faces", dict, where, default={})
+    _expect(all(isinstance(k, str) and isinstance(v, str) for k, v in faces.items()),
+            "faces must map vertex ids to stratum ids", f"{where}.faces")
+    horizontal = _parse_horizontal(entry, sid, tuple(vertices), i)
+    zero = _get(entry, "touches_zero", bool, where, default=False)
+    pole = _get(entry, "touches_pole", bool, where, default=False)
+    return Stratum(sid, tuple(vertices), dict(faces), zero, pole, horizontal)
+
+
+def _parse_horizontal(entry, stratum_id, vertices, i: int) -> SeriesPair | None:
+    """The expansion data of stratum i, or None if it has none."""
+    if "horizontal" not in entry:
+        return None
+    raw, where = entry["horizontal"], f"strata[{i}].horizontal"
     _expect(isinstance(raw, dict), "horizontal must be an object", where)
     _keys(raw, {"num", "den"}, where)
     sides = {}
@@ -254,19 +263,21 @@ def serialize_model(model: SncdModel) -> str:
     ]
     strata = []
     for s in model.strata:
-        fields = [
-            f'"id": {_q(s.id)}',
-            '"vertices": ' + _block("[", [_q(v) for v in s.vertices], "]", " " * 6),
-            f'"touches_zero": {_num(s.touches_zero)}',
-            f'"touches_pole": {_num(s.touches_pole)}',
-        ]
+        vertices = f"[\n        {_ITEM.join(map(_q, s.vertices))}\n      ]" if s.vertices else "[]"
+        text = (
+            f'{{\n      "id": {_q(s.id)},\n      "vertices": {vertices},\n'
+            f'      "touches_zero": {_num(s.touches_zero)},\n'
+            f'      "touches_pole": {_num(s.touches_pole)}'
+        )
         if fm := s.face_map:
-            faces = [f"{_q(v)}: {_q(fm[v])}" for v in sorted(fm)]
-            fields.append('"faces": ' + _block("{", faces, "}", " " * 6))
+            faces = _ITEM.join([f"{_q(v)}: {_q(fm[v])}" for v in sorted(fm)])
+            text += f',\n      "faces": {{\n        {faces}\n      }}'
         if (h := s.horizontal) is not None:
-            sides = [f'"num": {_vectors(h.num)}', f'"den": {_vectors(h.den)}']
-            fields.append('"horizontal": ' + _block("{", sides, "}", " " * 6))
-        strata.append(_block("{", fields, "}", " " * 4))
+            text += (
+                f',\n      "horizontal": {{\n        "num": {_vectors(h.num)},\n'
+                f'        "den": {_vectors(h.den)}\n      }}'
+            )
+        strata.append(text + "\n    }")
     top = [
         f'"kind": {_q(model.kind)}',
         f'"m": {_num(model.m)}',

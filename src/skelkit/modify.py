@@ -389,3 +389,26 @@ def reduce_to_divisorial(
         stratum_id, alpha = _apply_step(step, stratum_id, alpha)
     comp_id = work.stratum(stratum_id).vertices[0]
     return work.freeze(), comp_id, trace
+
+
+def _reduction_length(alpha: dict[str, Fraction]) -> int:
+    """The number of blow-ups reduce_to_divisorial makes on a point with these coordinates.
+
+    Each blow-up keeps the least coordinate a, lowers every larger one
+    by a and drops the other coordinates equal to a.  While a is the
+    only least coordinate it stays least for q = ceil(x/a) - 1 steps,
+    x the next larger coordinate, so those steps are taken at once and
+    the count grows like Euclid's algorithm, not like the ratio.
+    Requires positive coordinates, as check_point does.
+    """
+    xs, steps = sorted(alpha.values()), 0
+    while len(xs) > 1:
+        a = xs[0]
+        if xs[1] > a:
+            q = -(-xs[1] // a) - 1
+            xs = [a] + [x - q * a for x in xs[1:]]
+            steps += q
+        a = min(xs)
+        xs = sorted([a] + [x - a for x in xs if x > a])
+        steps += 1
+    return steps

@@ -182,6 +182,18 @@ def test_reduce(capsys):
     ]
 
 
+def test_reduce_refuses_a_point_past_the_step_limit(capsys):
+    # 1:100001 takes 100001 blow-ups, one past the limit; 1:10^9 would run for days
+    for k in (100_001, 10**9):
+        total = 2 + 3 * k  # N = 2 on A and 3 on B
+        code, out, err = run(capsys, "reduce", path("edge_23"), "--stratum", "e_A_B",
+                             "--alpha", f"1/{total},{k}/{total}")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: reducing this point takes {k} blow-ups, more than the limit of 100000"
+        ]
+
+
 def test_ks_and_essential(tmp_path, capsys):
     code, out, _ = run(capsys, "ks", path("kodaira_I0star"))
     assert code == 0 and out == "min=1/2; strata={v_C}; connected=true\n"

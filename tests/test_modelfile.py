@@ -31,6 +31,34 @@ def test_roundtrip_bundled(bundled):
         assert sk.parse_model(sk.serialize_model(model)) == model
 
 
+def _chains(count, length):
+    ids = [[f"B{b}_{i}" for i in range(length)] for b in range(count)]
+    comps = [(v, v, 1 + i % 3, 2 + i % 2) for chain in ids for i, v in enumerate(chain)]
+    edges = [(f"c_{a}", a, b) for chain in ids for a, b in zip(chain, chain[1:])]
+    return sk.graph_model(sk.KIND_LOG_RESOLUTION, 1, 2, comps, edges)
+
+
+LARGE = {  # the shapes and sizes of the skeleton_scan benchmark models
+    "cycle": lambda: sk.cycle_model(
+        sk.KIND_SNCD, 1, [(f"C{i}", f"C{i}", 1, 1 + i % 2) for i in range(1200)]),
+    "simplex": lambda: sk.full_complex_model(
+        sk.KIND_SNCD, 1, [(f"V{i}", f"V{i}", 1, 1 + i % 3) for i in range(10)],
+        [[f"V{i}" for i in range(10)]]),
+    "star": lambda: sk.star_model(
+        sk.KIND_SNCD, 1, ("Z", "Z", 2, 1), [(f"L{i}", f"L{i}", 1, 1 + i % 3) for i in range(400)]),
+    "chains": lambda: _chains(3, 200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_roundtrip_large_models(name):
+    model = LARGE[name]()
+    text = sk.serialize_model(model)
+    back = sk.parse_model(text)
+    assert back == model
+    assert sk.serialize_model(back) == text
+
+
 def test_generator_reproduces_the_bundled_corpus():
     script = Path(__file__).resolve().parents[1] / "tools" / "generate_data.py"
     spec = importlib.util.spec_from_file_location("generate_data", script)

@@ -5,9 +5,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skelkit as sk
-from conftest import random_point
+from skelkit.modify import _reduction_length
+from conftest import random_complex_model, random_graph_model, random_point
 
 
 def triangle(n=(1, 2, 3), mu=(1, 1, 2)):
@@ -281,6 +283,17 @@ def test_reduce_is_a_noop_on_vertices(bundled):
     x = sk.SkeletonPoint("v_A", {"A": F(1, 2)})
     final, comp, trace = sk.reduce_to_divisorial(m, x)
     assert final == m and comp == "A" and trace.steps == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_reduction_length_counts_the_blowups(rng):
+    # small parts give ties and exact multiples, large ones long batches
+    model = (random_complex_model if rng.random() < 0.6 else random_graph_model)(rng)
+    s = rng.choice(model.strata)
+    x = random_point(rng, model, s.id, max_part=rng.choice([2, 4, 9, 60]))
+    _, _, trace = sk.reduce_to_divisorial(model, x)
+    assert _reduction_length(x.alpha) == len(trace.steps)
 
 
 def test_trace_serializes_to_json(bundled):
