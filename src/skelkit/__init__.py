@@ -65,10 +65,7 @@ from .series import (
     AlphaVector,
     SeriesPair,
     Support,
-    initial_support,
-    product,
     reduce_support,
-    sum_supports,
     val,
 )
 from .skeleton import (

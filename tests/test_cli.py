@@ -101,6 +101,18 @@ def test_a_long_bad_rational_is_reported_in_one_short_line(first):
     assert f"({len(first)} characters)" in err
 
 
+@pytest.mark.parametrize("stratum, center, codim", [
+    ("e_A_B", "A", "9" * 5000),
+    ("e_A_B", "A", "9" * 4000),
+    ("e_A_B", ",".join(f"Z{i}" for i in range(20000)), "2"),
+    ("s" * 3000, "A", "2"),
+])
+def test_a_long_bad_blowup_point_is_reported_in_one_short_line(stratum, center, codim):
+    code, out, err = run_cli(["blowup", path("edge_23"), "--point", stratum, center, codim])
+    assert code == 1 and out == "" and len(err.splitlines()) == 1, err
+    assert len(err) <= 200 and "characters)" in err
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", path("edge_23"), "--stratum", "e_A_B")
     assert code == 0 and out == "affine\n"

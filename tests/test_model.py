@@ -323,6 +323,27 @@ def test_validate_horizontal_consistency():
     assert "horizontal-consistency" in codes(twisted)
 
 
+def test_validate_rejects_an_expansion_written_on_another_stratum():
+    m = horizontal_edge({(2, 0), (0, 3)}, {(0, 0)})
+    e = m.stratum("e")
+    moved = sk.SeriesPair(
+        sk.Support("zzz", e.vertices, e.horizontal.num.exponents),
+        sk.Support("zzz", e.vertices, e.horizontal.den.exponents),
+    )
+    m = m.replace(
+        strata=tuple(
+            sk.Stratum(s.id, s.vertices, s.face_map, horizontal=moved)
+            if s.id == "e"
+            else s
+            for s in m.strata
+        )
+    )
+    report = sk.validate(m)
+    assert [(v.code, v.message) for v in report.violations] == [
+        ("horizontal-consistency", "stratum 'e': expansion is written on stratum 'zzz'")
+    ]
+
+
 def test_violation_and_report_formatting():
     v = Violation("kind", "unknown kind 'x'")
     assert str(v) == "kind: unknown kind 'x'"

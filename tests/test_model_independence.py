@@ -123,3 +123,59 @@ def test_blowups_keep_the_pieces_of_the_essential_skeleton(rng):
         forms = [_form_of(step(sk.apply_form(model, f))[0]) for f in forms]
         model = step(model)[0]
         assert _pieces(model, sk.essential_skeleton(model, forms)) == pieces
+
+
+def _lies_over(old, new, trace, stratum_id):
+    """The stratum of `old` that the stratum `stratum_id` of `new` lies over.
+
+    A stratum center's step names the strata it replaced; a point center's
+    step (always a trace of its own) puts the cone of its new vertex over
+    the face the center meets."""
+    for step in reversed(trace.steps):
+        if step.replacements:
+            stratum_id = next(
+                (t for t, sub in step.replacements.items() if stratum_id in sub.values()),
+                stratum_id,
+            )
+        elif step.new_vertex in new.stratum(stratum_id).vertices:
+            stratum_id = sk.face(old, step.center_stratum, step.center_vertices)
+    return stratum_id
+
+
+def _rho(old, new, trace, x):
+    """Map a point x of `new` back to `old`: retract the values of the old
+    components at x onto the old stratum under x's stratum."""
+    values = {c.id: sk.pullback_value(new, trace, x, c.id) for c in old.components}
+    center = old.stratum(_lies_over(old, new, trace, x.stratum))
+    assert all(values[c] == 0 for c in values if c not in center.vertices), (x, values)
+    return sk.retract(old, sk.PointSpec(center.id, {v: values[v] for v in center.vertices}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_weight_ascends_off_the_skeleton(rng):
+    """Across a blow-up the weight at a point of the new model is at least the
+    weight at its image in the old one, and more by exactly alpha_e * m *
+    (codim - |J|) over a point center; a reduction, mapped back through its
+    composed trace in one go, keeps it."""
+    pick = rng.randrange(3)
+    if pick == 0:
+        model = load_bundled(rng.choice(KODAIRA_NAMES))
+    else:
+        model = random_graph_model(rng) if pick == 1 else random_complex_model(rng)
+    for _ in range(rng.randint(1, 3)):
+        out, trace, _ = _step(rng, model)(model)
+        for s in out.strata:
+            x = random_point(rng, out, s.id)
+            y = _rho(model, out, trace, x)
+            # only a point center raises the weight, and its trace has that one step
+            jump = sum(
+                x.alpha.get(step.new_vertex, 0) * model.m
+                * (step.codim - len(step.center_vertices))
+                for step in trace.steps
+            )
+            assert sk.weight(out, x) - sk.weight(model, y) == jump >= 0, (s.id, x, y)
+        for s in model.strata:
+            y = random_point(rng, model, s.id)
+            assert _rho(model, out, trace, sk.transfer_point(model, out, trace, y)) == y
+        model = out

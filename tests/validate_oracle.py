@@ -173,6 +173,15 @@ def validate(model: SncdModel) -> ValidationReport:
         if s.horizontal is None or set(s.vertices) - comp_set:
             continue
         h = s.horizontal
+        if h.num.stratum != s.id:
+            out.append(
+                Violation(
+                    "horizontal-consistency",
+                    f"stratum {s.id!r}: expansion is written on stratum "
+                    f"{h.num.stratum!r}",
+                )
+            )
+            continue
         if h.num.vertices != s.vertices or h.den.vertices != s.vertices:
             out.append(
                 Violation(
