@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, _echo
 from .model import (
     KIND_LOG_RESOLUTION, FormData, PrimeComponent, SncdModel, Stratum, ValidationReport,
     Violation, _face_edges, _multiplicity, connected_components,
@@ -43,6 +43,9 @@ def subcomplex(model: SncdModel, stratum_ids) -> Subcomplex:
     return Subcomplex(ids)
 
 
+_SHOWN_IDS = 3  # unknown or missing ids named in a form error; the rest are counted
+
+
 def _check_form(model: SncdModel, form: FormData):
     """Check a form's ids, degree and flags against a valid model, as validate would."""
     comp_ids, strata_ids = model._components_by_id.keys(), model._strata_by_id.keys()
@@ -53,7 +56,9 @@ def _check_form(model: SncdModel, form: FormData):
         ("sets flags on unknown strata", flagged - strata_ids),
     ):
         if ids:
-            raise DomainError(f"form {problem} {sorted(ids)}")
+            shown = ", ".join(_echo(i) for i in sorted(ids)[:_SHOWN_IDS])
+            more = f" and {len(ids) - _SHOWN_IDS} more" if len(ids) > _SHOWN_IDS else ""
+            raise DomainError(f"form {problem} [{shown}]{more}")
     out = []  # what validate reports on the overlaid model, in its order
     if form.m < 1:
         out.append(Violation("form-degree", f"m must be >= 1, got {form.m}"))

@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
+from math import lcm
 from typing import Optional
 
 from .errors import DomainError, UnsupportedCenterError, _echo
 from .model import SncdModel, Stratum, _Complex, cofaces, face, is_maximal
-from .series import SeriesPair, Support, reduce_support
+from .series import SeriesPair, Support, _antichain
 from .skeleton import SkeletonPoint, check_point, value_on_component
 
 
@@ -127,7 +128,8 @@ def _transform_support(
     The exceptional coordinate collects the total center order of each
     monomial plus the Jacobian shift; coordinates of dropped center
     vertices disappear (their coordinates become units at the new
-    stratum); everything else is carried over.
+    stratum); everything else is carried over.  Dominated exponents are
+    dropped before the support is built, as reduce_support would.
     """
     idx = {v: i for i, v in enumerate(s.vertices)}
     center_pos = [idx[j] for j in center]
@@ -138,7 +140,7 @@ def _transform_support(
             e_coord if v == e_id else beta[idx[v]] for v in new_vertices
         )
         out.add(vec)
-    return reduce_support(Support(new_stratum, new_vertices, frozenset(out)))
+    return Support(new_stratum, new_vertices, _antichain(out))
 
 
 def _exceptional_mu(model: _Complex, sigma: Stratum) -> int:
@@ -300,10 +302,22 @@ def blowup_point(
     return work.freeze(), e_id, trace
 
 
+def _scaled(alpha: dict[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """(D, D * alpha) for D the least common denominator of the coordinates.
+
+    _apply_step uses only min, > and -, which commute with scaling by
+    D > 0, so points move through a trace in integers and are divided
+    by D once at the end.
+    """
+    d = lcm(*(a.denominator for a in alpha.values()))
+    return d, {v: a.numerator * (d // a.denominator) for v, a in alpha.items()}
+
+
 def _apply_step(
-    step: BlowupStep, stratum_id: str, alpha: dict[str, Fraction]
-) -> tuple[str, dict[str, Fraction]]:
-    """Push one point through one blow-up step; no-op off the subdivided star."""
+    step: BlowupStep, stratum_id: str, alpha: dict[str, int]
+) -> tuple[str, dict[str, int]]:
+    """Push one point, in scaled coordinates, through one blow-up step;
+    no-op off the subdivided star."""
     sub = step.replacements.get(stratum_id)
     if sub is None:
         return stratum_id, alpha
@@ -334,10 +348,10 @@ def transfer_point(
     """
     check_point(source, x)
     stratum_id = x.stratum
-    alpha = dict(x.alpha)
+    d, alpha = _scaled(x.alpha)
     for step in trace.steps:
         stratum_id, alpha = _apply_step(step, stratum_id, alpha)
-    result = SkeletonPoint(stratum_id, alpha)
+    result = SkeletonPoint(stratum_id, {v: Fraction(a, d) for v, a in alpha.items()})
     if not target.has_stratum(stratum_id):
         raise DomainError(
             f"trace does not lead into the given target model: stratum "
@@ -381,7 +395,7 @@ def reduce_to_divisorial(
     check_point(model, x)
     trace = _new_trace(model)
     work = _Complex(model)
-    stratum_id, alpha = x.stratum, dict(x.alpha)
+    stratum_id, alpha = x.stratum, _scaled(x.alpha)[1]
     exc_ids = _exc_ids(work)
     while work.stratum(stratum_id).r > 1:
         step = _subdivide(work, stratum_id, next(exc_ids))
@@ -401,7 +415,7 @@ def _reduction_length(alpha: dict[str, Fraction]) -> int:
     the count grows like Euclid's algorithm, not like the ratio.
     Requires positive coordinates, as check_point does.
     """
-    xs, steps = sorted(alpha.values()), 0
+    xs, steps = sorted(_scaled(alpha)[1].values()), 0
     while len(xs) > 1:
         a = xs[0]
         if xs[1] > a:

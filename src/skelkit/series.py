@@ -117,14 +117,19 @@ def reduce_support(s: Support) -> Support:
     Dominated vectors can never achieve the minimum of a nonnegative
     linear form strictly, so the valuation is unchanged.
     """
-    kept = []
-    exps = sorted(s.exponents)
-    for beta in exps:
-        if not any(other != beta and _dominates(other, beta) for other in exps):
+    return Support(s.stratum, s.vertices, _antichain(s.exponents))
+
+
+def _antichain(exponents) -> frozenset[tuple[int, ...]]:
+    """The exponent vectors of a set that no other vector of it is coordinatewise below.
+
+    A vector below another precedes it lexicographically, and being
+    below is transitive, so each vector in sorted order is checked
+    against the ones kept before it only.
+    """
+    kept: list[tuple[int, ...]] = []
+    for beta in sorted(exponents):
+        if not any(all(a <= b for a, b in zip(low, beta)) for low in kept):
             kept.append(beta)
-    return Support(s.stratum, s.vertices, frozenset(kept))
-
-
-def _dominates(low, high):
-    return all(a <= b for a, b in zip(low, high))
+    return frozenset(kept)
 

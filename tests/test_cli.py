@@ -276,6 +276,20 @@ def test_form_naming_unknown_ids_is_rejected(tmp_path, capsys, form, unknown):
         assert code == 1 and out == "" and unknown in err, command
 
 
+@pytest.mark.parametrize("form, shown", [
+    ({"m": 1, "mu": {"A": 1, "B": 1, "c" * 5000: 2}}, "(5000 characters)"),
+    ({"m": 1, "mu": {"A": 1, "B": 1}, "touches_zero": {"v" * 5000: True}}, "(5000 characters)"),
+    ({"m": 1, "mu": {"A": 1, "B": 1, **{f"c{k:02}": 2 for k in range(50)}}},
+     "['c00', 'c01', 'c02'] and 47 more"),
+])
+def test_a_long_unknown_form_id_is_reported_in_one_short_line(tmp_path, form, shown):
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(form))
+    code, out, err = run_cli(["ks", path("edge_23"), "--form", str(form_path)])
+    assert code == 1 and out == "" and len(err.splitlines()) == 1, err
+    assert len(err) <= 200 and shown in err, err
+
+
 def test_lct_and_report(capsys):
     code, out, _ = run(capsys, "lct", path("cusp"))
     assert code == 0 and out == "lct=5/6; sk_pair={v_E3}\n"

@@ -179,3 +179,26 @@ def test_weight_ascends_off_the_skeleton(rng):
             y = random_point(rng, model, s.id)
             assert _rho(model, out, trace, sk.transfer_point(model, out, trace, y)) == y
         model = out
+
+
+def _report(model):
+    """lct, the number of pieces of Sk of the pair and the connectedness verdicts."""
+    verdicts = sorted(connected for _, connected in sk.connectedness_report(model))
+    return sk.lct(model), _pieces(model, sk.sk_pair(model)), verdicts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_blowups_keep_the_threshold_data_of_log_resolutions(rng):
+    """lct, Sk of the pair and its connectedness per block are birational invariants."""
+    pick = rng.randrange(3)
+    if pick == 0:
+        model = load_bundled(rng.choice(["cusp", "node"]))
+    else:
+        model = _tied(rng, random_graph_model(rng) if pick == 1 else random_complex_model(rng))
+        model = model.replace(kind=sk.KIND_LOG_RESOLUTION, m=1)
+    assert sk.validate(model).ok
+    report = _report(model)
+    for _ in range(rng.randint(1, 3)):
+        model = _step(rng, model)(model)[0]
+        assert _report(model) == report

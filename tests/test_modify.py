@@ -1,5 +1,6 @@
 """Blow-ups: combinatorics, traces, point transfer, reduction."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -8,8 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skelkit as sk
-from skelkit.modify import _reduction_length
-from conftest import random_complex_model, random_graph_model, random_point
+import transfer_oracle
+from skelkit.modify import _reduction_length, _transform_support
+from conftest import (
+    KODAIRA_NAMES, load_bundled, random_complex_model, random_graph_model, random_point,
+)
 
 
 def triangle(n=(1, 2, 3), mu=(1, 1, 2)):
@@ -294,6 +298,78 @@ def test_reduction_length_counts_the_blowups(rng):
     x = random_point(rng, model, s.id, max_part=rng.choice([2, 4, 9, 60]))
     _, _, trace = sk.reduce_to_divisorial(model, x)
     assert _reduction_length(x.alpha) == len(trace.steps)
+
+
+def _simplex_model(rng):
+    """A full simplex on 2-4 components, with expansion data on its top cell half the time."""
+    r, m = rng.randint(2, 4), rng.randint(1, 2)
+    names = "ABCD"[:r]
+    comps = [(v, v, rng.randint(1, 4), rng.randint(m, m + 3)) for v in names]
+    model = sk.full_complex_model(sk.KIND_SNCD, m, comps, [list(names)])
+    if rng.random() < 0.5:
+        return model
+    # per-vertex minima mu - m, as validate requires, with no single minimal monomial
+    top = max(model.strata, key=lambda s: s.r)
+    base = [mu - m for *_, mu in comps]
+    num = frozenset(tuple(b + (i == j) for j, b in enumerate(base)) for i in range(r))
+    pair = sk.SeriesPair(sk.Support(top.id, top.vertices, num),
+                         sk.Support(top.id, top.vertices, frozenset({(0,) * r})))
+    return model.replace(strata=tuple(
+        dataclasses.replace(s, horizontal=pair) if s is top else s for s in model.strata))
+
+
+KODAIRA_WITH_EDGES = [n for n in KODAIRA_NAMES if any(s.r > 1 for s in load_bundled(n).strata)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_reduction_and_transfer_match_the_fraction_replay(rng):
+    pick = rng.randrange(4)
+    if pick == 0:
+        model = load_bundled(rng.choice(KODAIRA_WITH_EDGES))
+    else:
+        model = (random_graph_model, random_complex_model, _simplex_model)[pick - 1](rng)
+    assert sk.validate(model).ok
+    cell = rng.choice([s.id for s in model.strata if s.r >= 2])
+    x = random_point(rng, model, cell, max_part=rng.choice([9, 60, 400]))
+    final, comp, trace = sk.reduce_to_divisorial(model, x)
+    ref_final, ref_comp, ref_trace = transfer_oracle.reduce_to_divisorial(model, x)
+    assert comp == ref_comp and trace.to_json() == ref_trace.to_json()
+    assert sk.serialize_model(final) == sk.serialize_model(ref_final)
+    points = [x] + [random_point(rng, model, s.id, max_part=60) for s in model.strata]
+    for y in points:
+        got = sk.transfer_point(model, final, trace, y)
+        want = transfer_oracle.transfer_point(model, final, trace, y)
+        assert got.stratum == want.stratum and got.alpha == want.alpha, (y, got, want)
+        assert all(type(a) is F for a in got.alpha.values())
+    assert sk.transfer_point(model, final, trace, x).stratum == final.singleton(comp).id
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_transform_support_is_the_reduced_lift(rng):
+    vertices = tuple(rng.sample("ABCD", rng.randint(2, 4)))
+    exponents = frozenset(
+        tuple(rng.randint(0, 4) for _ in vertices) for _ in range(rng.randint(1, 8))
+    )
+    chosen = rng.sample(vertices, rng.randint(2, len(vertices)))
+    center = tuple(v for v in vertices if v in chosen)
+    kept = set(rng.sample(center, rng.randint(0, len(center) - 1)))
+    kept |= set(vertices) - set(center)
+    new_vertices = ("e",) + tuple(v for v in vertices if v in kept)
+    jacobian = rng.randint(0, 6)
+    pos = {v: i for i, v in enumerate(vertices)}
+    lifted = {
+        tuple(sum(beta[pos[j]] for j in center) + jacobian if v == "e" else beta[pos[v]]
+              for v in new_vertices)
+        for beta in exponents
+    }
+    got = _transform_support(
+        sk.Support("t", vertices, exponents), center, new_vertices, "e", "u", jacobian)
+    assert got == sk.reduce_support(sk.Support("u", new_vertices, lifted))
+    assert got.exponents == {
+        b for b in lifted if not any(o != b and all(p <= q for p, q in zip(o, b)) for o in lifted)
+    }
 
 
 def test_trace_serializes_to_json(bundled):

@@ -7,6 +7,7 @@ the same multiset of (code, message) pairs as the reference.
 """
 
 import dataclasses
+import random
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
@@ -176,3 +177,24 @@ def test_validate_matches_the_four_pass_reference(rng, mutations):
     for mutate in mutations:
         model = mutate(rng, model)
     assert _violations(sk.validate(model)) == _violations(validate_by_passes(model))
+
+
+# small bases make a chain's second mutation likely to hit what the first one touched
+PAIR_BASES = {
+    **{name: BUNDLED[name] for name in ("edge_23", "node", "kodaira_I2", "cusp")},
+    "graph": random_graph_model(random.Random("pair-graph"), max_components=3),
+    "complex": random_complex_model(random.Random("pair-complex")),
+}
+PAIR_DRAWS = 6
+
+
+def test_every_ordered_pair_of_mutations_matches_the_reference():
+    """Chains of two mutations are rare in the random draw above; run each one."""
+    for first in MUTATIONS:
+        for second in MUTATIONS:
+            for name, base in PAIR_BASES.items():
+                for draw in range(PAIR_DRAWS):
+                    rng = random.Random(f"{first.__name__}:{second.__name__}:{name}:{draw}")
+                    model = second(rng, first(rng, base))
+                    assert _violations(sk.validate(model)) == _violations(
+                        validate_by_passes(model)), (first.__name__, second.__name__, name, draw)
