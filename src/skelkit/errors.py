@@ -22,3 +22,13 @@ class ModelFormatError(ValueError):
 def _echo(text: str) -> str:
     """The repr of a user's input for an error line, cut short past 40 characters."""
     return repr(text) if len(text) <= 40 else f"{text[:30]!r}... ({len(text)} characters)"
+
+
+_SHOWN_IDS = 3  # ids an error line names; the rest are counted
+
+
+def _ids(ids) -> str:
+    """Ids for an error line, sorted: the first few echoed in brackets, then how many more."""
+    ids = sorted(ids)
+    more = f" and {len(ids) - _SHOWN_IDS} more" if len(ids) > _SHOWN_IDS else ""
+    return f"[{', '.join(map(_echo, ids[:_SHOWN_IDS]))}]{more}"

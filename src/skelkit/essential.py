@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError, _echo
+from .errors import DomainError, _ids
 from .model import (
-    KIND_LOG_RESOLUTION, FormData, PrimeComponent, SncdModel, Stratum, ValidationReport,
-    Violation, _face_edges, _multiplicity, connected_components,
+    FormData, PrimeComponent, SncdModel, Stratum, ValidationReport, Violation,
+    _degree_violations, _face_edges, _flag_break, _multiplicity, connected_components,
 )
 
 
@@ -43,9 +43,6 @@ def subcomplex(model: SncdModel, stratum_ids) -> Subcomplex:
     return Subcomplex(ids)
 
 
-_SHOWN_IDS = 3  # unknown or missing ids named in a form error; the rest are counted
-
-
 def _check_form(model: SncdModel, form: FormData):
     """Check a form's ids, degree and flags against a valid model, as validate would."""
     comp_ids, strata_ids = model._components_by_id.keys(), model._strata_by_id.keys()
@@ -56,21 +53,14 @@ def _check_form(model: SncdModel, form: FormData):
         ("sets flags on unknown strata", flagged - strata_ids),
     ):
         if ids:
-            shown = ", ".join(_echo(i) for i in sorted(ids)[:_SHOWN_IDS])
-            more = f" and {len(ids) - _SHOWN_IDS} more" if len(ids) > _SHOWN_IDS else ""
-            raise DomainError(f"form {problem} [{shown}]{more}")
-    out = []  # what validate reports on the overlaid model, in its order
-    if form.m < 1:
-        out.append(Violation("form-degree", f"m must be >= 1, got {form.m}"))
-    if model.kind == KIND_LOG_RESOLUTION and form.m != 1:
-        out.append(Violation("kind", f"log-resolution models fix m = 1, got m = {form.m}"))
+            raise DomainError(f"form {problem} {_ids(ids)}")
+    out = list(_degree_violations(model.kind, form.m))  # what validate reports, in its order
     flags = (("touches_zero", form.touches_zero), ("touches_pole", form.touches_pole))
     if any(any(on.values()) for _, on in flags):  # with every flag off there is no break
         for sid, tid in _face_edges(model, model._strata_by_id):
             for flag, on in flags:
                 if on.get(tid) and not on.get(sid):
-                    message = f"stratum {sid!r} has {flag} off but its face {tid!r} has it on"
-                    out.append(Violation("flag monotonicity", message))
+                    out.append(Violation("flag monotonicity", _flag_break(sid, flag, tid)))
     if out:
         raise DomainError(f"form data breaks the model: {ValidationReport(tuple(out))}")
 

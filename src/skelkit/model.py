@@ -362,10 +362,7 @@ def validate(model: SncdModel) -> ValidationReport:
 
     if model.kind not in KNOWN_KINDS:
         add("kind", f"unknown kind {model.kind!r}")
-    if model.m < 1:
-        add("form-degree", f"m must be >= 1, got {model.m}")
-    if model.kind == KIND_LOG_RESOLUTION and model.m != 1:
-        add("kind", f"log-resolution models fix m = 1, got m = {model.m}")
+    out += _degree_violations(model.kind, model.m)
     if model.ambient_dim < 1:
         add("ambient-dim", f"ambient_dim must be >= 1, got {model.ambient_dim}")
     for what, items in (("component", model.components), ("stratum", model.strata)):
@@ -429,6 +426,19 @@ def validate(model: SncdModel) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
+def _degree_violations(kind: str, m: int) -> Iterator[Violation]:
+    """What validate reports on a form degree m over a model of the given kind."""
+    if m < 1:
+        yield Violation("form-degree", f"m must be >= 1, got {m}")
+    if kind == KIND_LOG_RESOLUTION and m != 1:
+        yield Violation("kind", f"log-resolution models fix m = 1, got m = {m}")
+
+
+def _flag_break(sid: str, flag: str, tid: str) -> str:
+    """The message of a stratum with a flag off whose face has it on."""
+    return f"stratum {sid!r} has {flag} off but its face {tid!r} has it on"
+
+
 def _check_faces(model: SncdModel, s: Stratum, add: Callable[[str, str], None]):
     """validate on the face-map edges s --v--> t of a stratum of two or more vertices.
 
@@ -453,11 +463,7 @@ def _check_faces(model: SncdModel, s: Stratum, add: Callable[[str, str], None]):
         else:
             for flag in ("touches_zero", "touches_pole"):
                 if getattr(t, flag) and not getattr(s, flag):
-                    add(
-                        "flag monotonicity",
-                        f"stratum {s.id!r} has {flag} off but its face {tid!r} "
-                        f"has it on",
-                    )
+                    add("flag monotonicity", _flag_break(s.id, flag, tid))
             if rest != t.vertices:
                 add(
                     "face-map mismatch",

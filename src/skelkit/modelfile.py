@@ -13,10 +13,11 @@ touches_pole maps from stratum id to bool.
 
 Parsing is strict about shapes (wrong types, unknown keys and malformed
 exponents are format errors with a location) but does not check the
-semantic invariants; run validate() on the parsed model for those.  It
-makes one pass per record: a component or stratum is tested whole and
-built directly, and only a record that fails goes through the strict
-field-by-field helpers, which name its first problem and its location.
+semantic invariants; run validate() on the parsed model for those.  Each
+kind of record has one table of its keys' types and defaults, and one
+reader, `_fields`, checks a record against its table and names its first
+problem.  A component or stratum is first tested whole in one pass and
+built directly; only a record that fails goes through the reader.
 Serialization is canonical: ids sorted, keys in a fixed order, so equal
 models produce byte-identical documents.  The layout is exactly what
 json.dumps writes with an indent of 2, plus a trailing newline.  The
@@ -29,16 +30,14 @@ from __future__ import annotations
 
 import json
 import sys
+from copy import copy
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DomainError, ModelFormatError, _echo
+from .errors import DomainError, ModelFormatError, _echo, _ids
 from .model import FormData, PrimeComponent, SncdModel, Stratum
 from .series import SeriesPair, Support
 
-_COMPONENT_KEYS = {"id", "name", "N", "mu"}
-_STRATUM_KEYS = {"id", "vertices", "faces", "touches_zero", "touches_pole", "horizontal"}
-_TOP_KEYS = {"kind", "m", "ambient_dim", "components", "strata"}
 _q = json.encoder.encode_basestring_ascii  # the C string escaper json.dumps uses
 _ITEM = ",\n        "  # between the items of a stratum's vertex list or face map
 
@@ -66,31 +65,36 @@ def _too_long() -> DomainError:
     return DomainError(f"the result has an integer past the interpreter's {limit}-digit limit")
 
 
-def _expect(cond: bool, message: str, where: str):
-    if not cond:
-        raise ModelFormatError(message, where)
+# Each kind of record maps a key to (type,) if a record must have it and to (type, default)
+# if it may leave it out; a record without the key gets its own copy of the default.  Keys
+# are listed in the order their problems are reported.
+_TOP = {"kind": (str,), "m": (int,), "ambient_dim": (int,), "components": (list,),
+        "strata": (list,)}
+_COMPONENT = {"id": (str,), "name": (str,), "N": (int,), "mu": (int,)}
+_STRATUM = {"id": (str,), "vertices": (list,), "faces": (dict, {}), "touches_zero": (bool, False),
+            "touches_pole": (bool, False), "horizontal": (object, None)}  # see _parse_horizontal
+_EXPANSION = {"num": (list,), "den": (list,)}
+_FORM = {"m": (int,), "mu": (dict,), "touches_zero": (dict, {}), "touches_pole": (dict, {})}
 
 
-def _keys(obj: dict, allowed: set, where: str):
-    if not obj.keys() <= allowed:
-        raise ModelFormatError(f"unknown keys {sorted(obj.keys() - allowed)}", where)
-
-
-def _get(obj: dict, key: str, kind, where: str, default=_expect):
-    if key not in obj:
-        if default is not _expect:
-            return default
-        raise ModelFormatError(f"missing key {key!r}", where)
-    value = obj[key]
-    # bool is an int subclass; keep the two apart
-    if kind is int and isinstance(value, bool):
-        raise ModelFormatError(f"key {key!r} must be an integer", where)
-    if not isinstance(value, kind):
-        raise ModelFormatError(
-            f"key {key!r} has type {type(value).__name__}, expected {kind.__name__}",
-            where,
-        )
-    return value
+def _fields(record, table: dict, where: str, not_object: str) -> list:
+    """A record's values in table order, or the ModelFormatError of its first problem."""
+    if type(record) is not dict:
+        raise ModelFormatError(not_object, where)
+    if not record.keys() <= table.keys():
+        raise ModelFormatError(f"unknown keys {_ids(record.keys() - table.keys())}", where)
+    values = []
+    for key, (kind, *default) in table.items():
+        if key not in record and not default:
+            raise ModelFormatError(f"missing key {key!r}", where)
+        value = record[key] if key in record else copy(default[0])
+        if kind is int and type(value) is bool:  # bool is an int subclass; keep them apart
+            raise ModelFormatError(f"key {key!r} must be an integer", where)
+        if not isinstance(value, kind):
+            got = type(value).__name__
+            raise ModelFormatError(f"key {key!r} has type {got}, expected {kind.__name__}", where)
+        values.append(value)
+    return values
 
 
 def _json(text: str, prefix: str = ""):
@@ -112,39 +116,28 @@ def _read(path) -> str:
 
 
 def parse_model(text: str) -> SncdModel:
-    doc = _json(text)
-    _expect(isinstance(doc, dict), "document must be a JSON object", "top level")
-    _keys(doc, _TOP_KEYS, "top level")
-    kind = _get(doc, "kind", str, "top level")
-    m = _get(doc, "m", int, "top level")
-    ambient = _get(doc, "ambient_dim", int, "top level")
-    comps = [_component(e, i) for i, e in enumerate(_get(doc, "components", list, "top level"))]
-    strata = [_stratum(e, i) for i, e in enumerate(_get(doc, "strata", list, "top level"))]
+    top = _fields(_json(text), _TOP, "top level", "document must be a JSON object")
+    kind, m, ambient, comps, strata = top
+    comps = [_component(e, i) for i, e in enumerate(comps)]
+    strata = [_stratum(e, i) for i, e in enumerate(strata)]
     return SncdModel(kind, m, ambient, tuple(comps), tuple(strata))
 
 
 # json.loads yields exact dict, list, str, int, bool and None, so `type(x) is T`
 # tests a parsed value exactly and keeps bool apart from int.
 def _component(entry, i: int) -> PrimeComponent:
-    """One component, tested whole; a record that fails goes through the strict helpers."""
-    if (type(entry) is dict and entry.keys() == _COMPONENT_KEYS
+    """One component, tested whole; a record that fails goes through the reader."""
+    if (type(entry) is dict and entry.keys() == _COMPONENT.keys()
             and type(entry["id"]) is type(entry["name"]) is str
             and type(entry["N"]) is type(entry["mu"]) is int):
         return PrimeComponent(**entry)
     where = f"components[{i}]"
-    _expect(isinstance(entry, dict), "component must be an object", where)
-    _keys(entry, _COMPONENT_KEYS, where)
-    return PrimeComponent(
-        _get(entry, "id", str, where),
-        _get(entry, "name", str, where),
-        _get(entry, "N", int, where),
-        _get(entry, "mu", int, where),
-    )
+    return PrimeComponent(*_fields(entry, _COMPONENT, where, "component must be an object"))
 
 
 def _stratum(entry, i: int) -> Stratum:
-    """One stratum, tested whole; a record that fails goes through the strict helpers."""
-    if type(entry) is dict and entry.keys() <= _STRATUM_KEYS:
+    """One stratum, tested whole; a record that fails goes through the reader."""
+    if type(entry) is dict and entry.keys() <= _STRATUM.keys():
         sid, vertices, faces = entry.get("id"), entry.get("vertices"), entry.get("faces", {})
         zero, pole = entry.get("touches_zero", False), entry.get("touches_pole", False)
         if (type(sid) is str and type(vertices) is list and type(faces) is dict
@@ -158,46 +151,31 @@ def _stratum(entry, i: int) -> Stratum:
                 horizontal = _parse_horizontal(entry, sid, vertices, i)
                 return Stratum(sid, vertices, faces, zero, pole, horizontal)
     where = f"strata[{i}]"
-    _expect(isinstance(entry, dict), "stratum must be an object", where)
-    _keys(entry, _STRATUM_KEYS, where)
-    sid = _get(entry, "id", str, where)
-    vertices = _get(entry, "vertices", list, where)
-    _expect(all(isinstance(v, str) for v in vertices), "vertices must be strings",
-            f"{where}.vertices")
-    faces = _get(entry, "faces", dict, where, default={})
-    _expect(all(isinstance(k, str) and isinstance(v, str) for k, v in faces.items()),
-            "faces must map vertex ids to stratum ids", f"{where}.faces")
-    horizontal = _parse_horizontal(entry, sid, tuple(vertices), i)
-    zero = _get(entry, "touches_zero", bool, where, default=False)
-    pole = _get(entry, "touches_pole", bool, where, default=False)
-    return Stratum(sid, tuple(vertices), dict(faces), zero, pole, horizontal)
+    fields = _fields(entry, _STRATUM, where, "stratum must be an object")
+    sid, vertices, faces, zero, pole, _ = fields
+    if not all(type(v) is str for v in vertices):
+        raise ModelFormatError("vertices must be strings", f"{where}.vertices")
+    if not all(type(k) is type(v) is str for k, v in faces.items()):
+        raise ModelFormatError("faces must map vertex ids to stratum ids", f"{where}.faces")
+    vertices = tuple(vertices)
+    return Stratum(sid, vertices, faces, zero, pole, _parse_horizontal(entry, sid, vertices, i))
 
 
 def _parse_horizontal(entry, stratum_id, vertices, i: int) -> SeriesPair | None:
     """The expansion data of stratum i, or None if it has none."""
     if "horizontal" not in entry:
         return None
-    raw, where = entry["horizontal"], f"strata[{i}].horizontal"
-    _expect(isinstance(raw, dict), "horizontal must be an object", where)
-    _keys(raw, {"num", "den"}, where)
-    sides = {}
-    for side in ("num", "den"):
-        vectors = _get(raw, side, list, where)
-        _expect(
-            all(
-                isinstance(beta, list) and all(type(b) is int for b in beta)
-                for beta in vectors
-            ),
-            f"{side} must be a list of integer vectors",
-            f"{where}.{side}",
-        )
+    where = f"strata[{i}].horizontal"
+    sides = _fields(entry["horizontal"], _EXPANSION, where, "horizontal must be an object")
+    supports = []
+    for side, vectors in zip(_EXPANSION, sides):
+        if not all(type(beta) is list and all(type(b) is int for b in beta) for beta in vectors):
+            raise ModelFormatError(f"{side} must be a list of integer vectors", f"{where}.{side}")
         try:
-            sides[side] = Support(
-                stratum_id, vertices, frozenset(tuple(beta) for beta in vectors)
-            )
+            supports.append(Support(stratum_id, vertices, frozenset(map(tuple, vectors))))
         except DomainError as exc:
             raise ModelFormatError(str(exc), f"{where}.{side}") from None
-    return SeriesPair(sides["num"], sides["den"])
+    return SeriesPair(*supports)
 
 
 def load_model(path) -> SncdModel:
@@ -209,25 +187,16 @@ def load_form(path) -> FormData:
 
     `essential._check_form` checks its ids, degree and flags against a valid model.
     """
-    doc, where = _json(_read(path), f"{path}: "), str(path)
-    _expect(isinstance(doc, dict), "form document must be a JSON object", where)
-    _keys(doc, {"m", "mu", "touches_zero", "touches_pole"}, where)
-    m = _get(doc, "m", int, where)
-    mu = _get(doc, "mu", dict, where)
-    _expect(
-        all(isinstance(k, str) and type(v) is int for k, v in mu.items()),
-        "key 'mu' must map component ids to integers",
-        where,
-    )
-    flags = {}
-    for key in ("touches_zero", "touches_pole"):
-        raw = flags[key] = _get(doc, key, dict, where, default={})
-        _expect(
-            all(isinstance(k, str) and isinstance(v, bool) for k, v in raw.items()),
-            f"key {key!r} must map stratum ids to booleans",
-            where,
-        )
-    return FormData(m, mu, **flags)
+    where = str(path)
+    doc = _json(_read(path), f"{path}: ")
+    m, mu, zero, pole = _fields(doc, _FORM, where, "form document must be a JSON object")
+    # JSON object keys are strings, so only the values need a test
+    if not all(type(v) is int for v in mu.values()):
+        raise ModelFormatError("key 'mu' must map component ids to integers", where)
+    for key, flags in (("touches_zero", zero), ("touches_pole", pole)):
+        if not all(type(v) is bool for v in flags.values()):
+            raise ModelFormatError(f"key {key!r} must map stratum ids to booleans", where)
+    return FormData(m, mu, zero, pole)
 
 
 def _num(x) -> str:

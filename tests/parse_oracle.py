@@ -1,16 +1,19 @@
-"""The model-file parser that the one-pass record builders replaced, kept verbatim.
+"""The model-file and form-document readers that the table-driven reader replaced, kept verbatim.
 
 `skelkit.modelfile.parse_model` tests each component and stratum whole
-and builds it directly, and sends only a record that fails through the
-strict helpers; this reference runs the strict helpers on every field
-of every record.  Both must return equal models, or raise
-`ModelFormatError`s with equal messages and locations, on every document.
+and builds it directly, and sends only a record that fails through one
+reader that checks it against a table of its keys; `load_form` reads a
+form document through the same reader.  These references run strict
+field-by-field helpers on every field of every record.  Both must return
+equal models or forms, or raise `ModelFormatError`s with equal messages
+and locations, on every document with a single fault.
 """
 
 import json
+from pathlib import Path
 
 from skelkit.errors import DomainError, ModelFormatError
-from skelkit.model import PrimeComponent, SncdModel, Stratum
+from skelkit.model import FormData, PrimeComponent, SncdModel, Stratum
 from skelkit.series import SeriesPair, Support
 
 _COMPONENT_KEYS = {"id", "name", "N", "mu"}
@@ -138,3 +141,36 @@ def _parse_horizontal(raw, stratum_id, vertices, where) -> SeriesPair:
         except DomainError as exc:
             raise ModelFormatError(str(exc), f"{where}.{side}") from None
     return SeriesPair(sides["num"], sides["den"])
+
+
+def _read(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(str(exc), str(path)) from None
+
+
+def load_form(path) -> FormData:
+    """Read a form document; its shapes are checked here.
+
+    `essential._check_form` checks its ids, degree and flags against a valid model.
+    """
+    doc, where = _json(_read(path), f"{path}: "), str(path)
+    _expect(isinstance(doc, dict), "form document must be a JSON object", where)
+    _keys(doc, {"m", "mu", "touches_zero", "touches_pole"}, where)
+    m = _get(doc, "m", int, where)
+    mu = _get(doc, "mu", dict, where)
+    _expect(
+        all(isinstance(k, str) and type(v) is int for k, v in mu.items()),
+        "key 'mu' must map component ids to integers",
+        where,
+    )
+    flags = {}
+    for key in ("touches_zero", "touches_pole"):
+        raw = flags[key] = _get(doc, key, dict, where, default={})
+        _expect(
+            all(isinstance(k, str) and isinstance(v, bool) for k, v in raw.items()),
+            f"key {key!r} must map stratum ids to booleans",
+            where,
+        )
+    return FormData(m, mu, **flags)

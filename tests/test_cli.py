@@ -290,6 +290,31 @@ def test_a_long_unknown_form_id_is_reported_in_one_short_line(tmp_path, form, sh
     assert len(err) <= 200 and shown in err, err
 
 
+def _edge_23_with(change):
+    doc = json.loads(bundled_path("edge_23").read_text())
+    change(doc)
+    return doc
+
+
+@pytest.mark.parametrize("command, model, form", [
+    ("info", _edge_23_with(lambda doc: doc.update({"k" * 5000: 1})), None),
+    ("info", _edge_23_with(lambda doc: doc["strata"][0].update({f"k{j}": j for j in range(3000)})),
+     None),
+    ("ks", None, {"m": 1, "mu": {"A": 1, "B": 1}, "k" * 5000: 1}),
+], ids=["long-top-level-key", "many-stratum-keys", "long-form-key"])
+def test_unknown_keys_are_reported_in_one_short_line(tmp_path, command, model, form):
+    argv = [command, path("edge_23")]
+    if model is not None:
+        argv[1] = str(tmp_path / "model.json")
+        Path(argv[1]).write_text(json.dumps(model))
+    if form is not None:
+        (tmp_path / "form.json").write_text(json.dumps(form))
+        argv += ["--form", str(tmp_path / "form.json")]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1, err
+    assert len(err) <= 200 and "unknown keys" in err, err
+
+
 def test_lct_and_report(capsys):
     code, out, _ = run(capsys, "lct", path("cusp"))
     assert code == 0 and out == "lct=5/6; sk_pair={v_E3}\n"

@@ -1,4 +1,4 @@
-"""parse_model against the strict-helper reference on documents with one mutation each.
+"""parse_model and load_form against the strict-helper references, one mutation a document.
 
 Each example writes a bundled or random `complexes` model as a document,
 sometimes gives one stratum valid expansion data, and makes one change:
@@ -7,13 +7,21 @@ for `1` and back included), a vertex, face key or face value that is not
 a string, an entry that is not an object, `"horizontal": null` or a
 boolean exponent.  The one-pass parser must return the model the
 reference returns, or raise a `ModelFormatError` with the same text.
+
+Form documents are built from the `mu` and flags of the same models and
+get one change each: a key dropped or added, a value swapped for one of
+another type, `true` for `1` and back, a `mu` value that is not an
+integer, a flag that is not a boolean, or a document that is not an
+object.  `load_form` must return the reference's `FormData` or message.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import skelkit as sk
+from skelkit.modelfile import load_form
 import parse_oracle
 from conftest import BUNDLED_NAMES, load_bundled, random_complex_model, random_graph_model
 
@@ -128,3 +136,70 @@ def test_parse_matches_the_strict_helper_reference(rng, mutate):
     mutate(rng, doc)
     text = json.dumps(doc, indent=rng.choice([None, 2]))
     assert _outcome(sk.parse_model, text) == _outcome(parse_oracle.parse_model, text)
+
+
+def _form_document(rng):
+    """The m, mu and flags of a model document, leaving out some flags or a whole flag map."""
+    model = _document(rng)
+    doc = {"m": model["m"], "mu": {c["id"]: c["mu"] for c in model["components"]}}
+    for flag in ("touches_zero", "touches_pole"):
+        if rng.random() < 0.7:
+            doc[flag] = {s["id"]: s[flag] for s in model["strata"] if rng.random() < 0.8}
+    return doc
+
+
+def form_drop_key(rng, doc):
+    del doc[rng.choice(sorted(doc))]
+
+
+def form_add_key(rng, doc):
+    doc[rng.choice(["color", "M", "touches", ""])] = rng.choice(VALUES)
+
+
+def form_swap_type(rng, doc):
+    key = rng.choice(sorted(doc))
+    doc[key] = rng.choice([v for v in VALUES if type(v) is not type(doc[key])])
+
+
+def _form_values(doc):
+    """(map, key) of m and of every mu value and flag."""
+    return [(doc, "m")] + [(doc[k], i) for k in ("mu", "touches_zero", "touches_pole")
+                           if k in doc for i in sorted(doc[k])]
+
+
+def form_swap_bool_and_int(rng, doc):
+    """true <-> 1 and false <-> 0 on m, a mu value or a flag."""
+    record, key = rng.choice(_form_values(doc))
+    value = record[key]
+    record[key] = int(value) if type(value) is bool else bool(value)
+
+
+def form_bad_mu(rng, doc):
+    doc["mu"][rng.choice([*doc["mu"], "X"])] = rng.choice([1.5, "1", None, True, False, [], {}])
+
+
+def form_bad_flag(rng, doc):
+    flags = doc.setdefault(rng.choice(["touches_zero", "touches_pole"]), {})
+    flags[rng.choice([*flags, "s_X"])] = rng.choice([0, 1, 1.5, "true", None, [], {}])
+
+
+def form_not_object(rng, doc):
+    return rng.choice([[], [doc], "form", 1, 1.5, True, None])
+
+
+FORM_MUTATIONS = [form_drop_key, form_add_key, form_swap_type, form_swap_bool_and_int,
+                  form_bad_mu, form_bad_flag, form_not_object]
+
+
+@pytest.fixture(scope="module")
+def form_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("forms") / "form.json"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(FORM_MUTATIONS))
+def test_load_form_matches_the_strict_helper_reference(form_path, rng, mutate):
+    doc = _form_document(rng)
+    doc = mutate(rng, doc) or doc
+    form_path.write_text(json.dumps(doc, indent=rng.choice([None, 2])))
+    assert _outcome(load_form, form_path) == _outcome(parse_oracle.load_form, form_path)

@@ -4,7 +4,8 @@ Each `$ skelkit ...` example of the "Command line" block runs through
 `cli.main` and must print exactly the lines shown under it.  The "Library"
 block runs statement by statement; an expression with a comment must have
 a repr that the comment's text up to its last `)` matches, `...` standing
-for any text.
+for any text.  The keys the "Model files" section lists for each kind of
+record must be the keys of that record's table in `skelkit.modelfile`.
 """
 
 import ast
@@ -14,16 +15,20 @@ from pathlib import Path
 
 import pytest
 
+from skelkit import modelfile
 from conftest import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
+def _section(heading):
+    return README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _block(heading, lang):
     """The first fenced `lang` block of the README section under `## heading`."""
-    section = README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+    return _section(heading).split(f"```{lang}\n", 1)[1].split("```", 1)[0]
 
 
 def _cli_examples():
@@ -74,3 +79,19 @@ def test_library_example(monkeypatch):
         "Fraction(5, 12)",
         "PrimeComponent(id='exc3', ... N=12, mu=5)",
     ]
+
+
+def test_the_model_file_key_lists_are_the_tables_keys():
+    text = " ".join(_section("Model files").split())  # one line, single spaces
+
+    def braced(after):
+        return set(re.search(re.escape(after) + r" `\{([^}]*)\}`", text)[1].split(", "))
+
+    assert re.findall(r"\* `(\w+)`:", text) == list(modelfile._TOP)
+    assert braced("`components`: list of") == set(modelfile._COMPONENT)
+    extra = re.search(r"carry `(\w+)` data, a pair of exponent supports \(`(\w+)`, `(\w+)`\)",
+                      text)
+    assert braced("`strata`: list of cells") | {extra[1]} == set(modelfile._STRATUM)
+    assert {extra[2], extra[3]} == set(modelfile._EXPANSION)
+    form = re.search(r"A form document [^;]* has the keys ([^;]*);", text)[1]
+    assert re.findall(r"`(\w+)`", form) == list(modelfile._FORM)
