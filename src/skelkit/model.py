@@ -14,7 +14,7 @@ derived quantity downstream is a `fractions.Fraction`.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -264,15 +264,15 @@ class _Complex:
     """
 
     # the model's lookups, run on this object's own maps
-    component, stratum, has_stratum = (
-        SncdModel.component, SncdModel.stratum, SncdModel.has_stratum
-    )
+    component, stratum = SncdModel.component, SncdModel.stratum
 
     def __init__(self, model: SncdModel):
         self.kind, self.m, self.ambient_dim = model.kind, model.m, model.ambient_dim
         self._components_by_id = dict(model._components_by_id)
         self._strata_by_id = dict(model._strata_by_id)
-        self._coface_index = {fid: set(up) for fid, up in model._coface_index.items()}
+        self._coface_index = defaultdict(
+            set, {fid: set(up) for fid, up in model._coface_index.items()}
+        )
 
     def add_vertex(
         self, e_id: str, center: tuple[str, ...], mu_e: int,
@@ -291,7 +291,7 @@ class _Complex:
         for s in added:
             strata[s.id] = s
             for fid in s.face_map.values():
-                index.setdefault(fid, set()).add(s.id)
+                index[fid].add(s.id)
 
     def freeze(self) -> SncdModel:
         return SncdModel(

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
 from math import lcm
-from typing import Optional
 
 from .errors import DomainError, UnsupportedCenterError, _echo
 from .model import SncdModel, Stratum, _Complex, cofaces, face, is_maximal
@@ -100,11 +99,12 @@ def _stratum_namer(model: SncdModel | _Complex, freed: frozenset[str] = frozense
     handed out so far.
     """
     given: set[str] = set()
+    taken = model._strata_by_id
 
     def name(vertices: tuple[str, ...]) -> str:
         base = f"v_{vertices[0]}" if len(vertices) == 1 else "f_" + "_".join(vertices)
         out, k = base, 1
-        while out in given or (model.has_stratum(out) and out not in freed):
+        while out in given or (out in taken and out not in freed):
             k += 1
             out = f"{base}~{k}"
         given.add(out)
@@ -161,10 +161,12 @@ def _exceptional_mu(model: _Complex, sigma: Stratum) -> int:
 def _subdivide(model: _Complex, sigma_id: str, e_id: str) -> BlowupStep:
     """Star subdivision, in place, at an arbitrary stratum with at least two vertices.
 
-    Every coface of the center (the center included) is replaced by the
-    cone with apex the new vertex e_id over its proper-center-subset
-    faces; everything else is untouched, so the update is local to the
-    star.
+    Each coface tau of the center J (J included) is replaced by the cone
+    with apex e_id over tau's faces on A + L, for A a proper subset of J
+    and L tau's vertices outside J; the update is local to the star.  The
+    subsets are listed once per step, and each face on A + L is read by
+    walking the dropped vertices J - A through the working complex's face
+    maps: the walk `face` makes, without its argument checks.
     """
     sigma = model.stratum(sigma_id)
     if sigma.r < 2:
@@ -172,48 +174,49 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str) -> BlowupStep:
             f"stratum {sigma_id!r} is a single component; blowing up a divisor "
             f"is an isomorphism and changes no complex"
         )
-    J = sigma.vertices
+    J, strata, jacobian = sigma.vertices, model._strata_by_id, model.m * (sigma.r - 1)
 
     coface_ids = cofaces(model, sigma_id)
     fresh_name = _stratum_namer(model, frozenset(coface_ids))
+    # each proper subset A of J with its facets (a, A - a) and the vertices J - A
+    table = [
+        (A, [(a, tuple(x for x in A if x != a)) for a in A], tuple(v for v in J if v not in A))
+        for A in _subsets(J, len(J) - 1)
+    ]
 
-    # name every replacement first so face maps can point forward
+    # name every replacement first so face maps can point forward; the new
+    # vertices keep tau's order so face tuples agree with old strata
     replacements: dict[str, dict[tuple[str, ...], str]] = {}
-    plan: list[tuple[Stratum, tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = []
+    vertices_of: dict[str, tuple[str, ...]] = {}
     for tid in coface_ids:
-        tau = model.stratum(tid)
-        L = tuple(v for v in tau.vertices if v not in J)
-        replacements[tid] = {}
-        for A in _subsets(J, len(J) - 1):
-            # keep tau's vertex order so face tuples agree with old strata
-            kept_verts = set(A) | set(L)
-            verts = (e_id,) + tuple(v for v in tau.vertices if v in kept_verts)
-            replacements[tid][A] = fresh_name(verts)
-            plan.append((tau, A, L, verts))
+        tv, sub = strata[tid].vertices, {}
+        replacements[tid] = sub
+        for A, _, drop in table:
+            verts = (e_id, *[v for v in tv if v not in drop])
+            sub[A] = new_id = fresh_name(verts)
+            vertices_of[new_id] = verts
 
     new_strata = []
-    for tau, A, L, verts in plan:
-        new_id = replacements[tau.id][A]
-        fm: dict[str, str] = {}
-        if len(verts) >= 2:
-            if A + L:
-                fm[e_id] = face(model, tau.id, A + L)
-            for a in A:
-                fm[a] = replacements[tau.id][tuple(x for x in A if x != a)]
-            for l in L:
-                fm[l] = replacements[tau.face_map[l]][A]
-        horizontal: Optional[SeriesPair] = None
-        if tau.horizontal is not None:
-            horizontal = SeriesPair(
-                _transform_support(
-                    tau.horizontal.num, J, verts, e_id, new_id,
-                    model.m * (sigma.r - 1),
-                ),
-                _transform_support(tau.horizontal.den, J, verts, e_id, new_id, 0),
-            )
-        new_strata.append(
-            Stratum(new_id, verts, fm, tau.touches_zero, tau.touches_pole, horizontal)
-        )
+    for tid in coface_ids:
+        tau, mine = strata[tid], replacements[tid]
+        L = tuple(v for v in tau.vertices if v not in J)
+        for A, facets, drop in table:
+            new_id = mine[A]
+            fm: dict[str, str] = {}
+            if A or L:
+                fid = tid
+                for v in drop:
+                    fid = strata[fid].face_map[v]
+                fm[e_id] = fid
+                for a, rest in facets:
+                    fm[a] = mine[rest]
+                for l in L:
+                    fm[l] = replacements[tau.face_map[l]][A]
+            verts, h = vertices_of[new_id], tau.horizontal
+            if h is not None:
+                h = SeriesPair(_transform_support(h.num, J, verts, e_id, new_id, jacobian),
+                               _transform_support(h.den, J, verts, e_id, new_id, 0))
+            new_strata.append(Stratum(new_id, verts, fm, tau.touches_zero, tau.touches_pole, h))
 
     model.add_vertex(e_id, J, _exceptional_mu(model, sigma), coface_ids, new_strata)
     return BlowupStep(sigma_id, J, len(J), e_id, replacements)
@@ -257,8 +260,10 @@ def blowup_point(
         raise UnsupportedCenterError(
             f"stratum {stratum_id!r} is not maximal"
         )
+    if len(set(center)) != len(center):
+        raise DomainError(f"center components {_echo(','.join(center))} repeat a component")
     J = tuple(v for v in s.vertices if v in set(center))
-    if len(J) != len(set(center)) or not center:
+    if len(J) != len(center) or not center:
         raise DomainError(
             f"center components {_echo(','.join(center))} are not a nonempty subset of "
             f"the vertices of stratum {stratum_id!r}"

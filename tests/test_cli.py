@@ -113,6 +113,12 @@ def test_a_long_bad_blowup_point_is_reported_in_one_short_line(stratum, center, 
     assert len(err) <= 200 and "characters)" in err
 
 
+def test_a_repeated_blowup_point_component_is_rejected():
+    code, out, err = run_cli(["blowup", path("edge_23"), "--point", "e_A_B", "A,A", "2"])
+    assert (code, out) == (1, "") and len(err.splitlines()) == 1, err
+    assert "'A,A' repeat a component" in err
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", path("edge_23"), "--stratum", "e_A_B")
     assert code == 0 and out == "affine\n"

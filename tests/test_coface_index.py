@@ -161,20 +161,46 @@ def test_reduction_fills_the_gaps_in_the_exc_ids():
 
 def test_reduction_looks_up_strata_linearly_often(monkeypatch):
     # the edge point 1:k takes k blow-ups; scanning every stratum for the
-    # cofaces of each center would look strata up about k^2 times.  face
-    # calls would not show that: is_face rejects most strata before face
-    calls = []
-    k, stratum = 400, skelkit.model._Complex.stratum
+    # cofaces of each center would read the stratum map about k^2 times.
+    # Every read of the working complex's map counts: one per lookup and
+    # one per item iterated, however the kernel reaches the map
+    reads = []
 
-    def counted(*args):
-        calls.append(None)
-        return stratum(*args)
+    class Counted(dict):
+        def __getitem__(self, key):
+            reads.append(None)
+            return super().__getitem__(key)
 
-    monkeypatch.setattr(skelkit.model._Complex, "stratum", counted)
+        def get(self, *args):
+            reads.append(None)
+            return super().get(*args)
+
+        def __iter__(self):
+            for key in super().__iter__():
+                reads.append(None)
+                yield key
+
+        def values(self):
+            for value in super().values():
+                reads.append(None)
+                yield value
+
+        def items(self):
+            for item in super().items():
+                reads.append(None)
+                yield item
+
+    k, init = 400, skelkit.model._Complex.__init__
+
+    def counted_init(self, model):
+        init(self, model)
+        self._strata_by_id = Counted(self._strata_by_id)
+
+    monkeypatch.setattr(skelkit.model._Complex, "__init__", counted_init)
     edge = sk.graph_model(
         sk.KIND_SNCD, 1, 2, [("A", "A", 1, 1), ("B", "B", 1, 1)], [("e", "A", "B")]
     )
     x = sk.SkeletonPoint("e", {"A": F(1, k + 1), "B": F(k, k + 1)})
-    _, _, trace = sk.reduce_to_divisorial(edge, x)
-    assert len(trace.steps) == k
-    assert 0 < len(calls) <= 10 * k
+    final, _, trace = sk.reduce_to_divisorial(edge, x)
+    assert len(trace.steps) == k and len(final.strata) == 2 * k + 3
+    assert 0 < len(reads) <= 10 * k

@@ -142,11 +142,12 @@ def _lies_over(old, new, trace, stratum_id):
     return stratum_id
 
 
-def _rho(old, new, trace, x):
+def _rho(old, new, trace, x, under=None):
     """Map a point x of `new` back to `old`: retract the values of the old
-    components at x onto the old stratum under x's stratum."""
+    components at x onto `under`, the old stratum under x's stratum, which
+    is read off the trace unless given."""
     values = {c.id: sk.pullback_value(new, trace, x, c.id) for c in old.components}
-    center = old.stratum(_lies_over(old, new, trace, x.stratum))
+    center = old.stratum(under or _lies_over(old, new, trace, x.stratum))
     assert all(values[c] == 0 for c in values if c not in center.vertices), (x, values)
     return sk.retract(old, sk.PointSpec(center.id, {v: values[v] for v in center.vertices}))
 
@@ -179,6 +180,64 @@ def test_weight_ascends_off_the_skeleton(rng):
             y = random_point(rng, model, s.id)
             assert _rho(model, out, trace, sk.transfer_point(model, out, trace, y)) == y
         model = out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_weight_jumps_only_over_the_point_center(rng):
+    """A point-center blow-up followed by 1-2 stratum blow-ups or reductions,
+    composed into one trace and mapped back in one go: the weight jumps by m *
+    (codim - |J|) times the order of the point center's exceptional divisor,
+    so exactly on the strata with a vertex descending from that divisor."""
+    pick = rng.randrange(3)
+    if pick == 0:
+        model = load_bundled(rng.choice(KODAIRA_NAMES))
+    else:
+        model = random_graph_model(rng) if pick == 1 else random_complex_model(rng)
+    s = rng.choice([s for s in model.strata if sk.is_maximal(model, s.id)])
+    J = tuple(rng.sample(s.vertices, rng.randint(1, min(s.r, model.ambient_dim - 1))))
+    codim = rng.randint(len(J) + 1, model.ambient_dim)
+    out, e, trace = sk.blowup_point(model, s.id, J, codim)
+    chain, models = [trace], [model, out]
+    exceptional = sk.BlowupTrace(pullback={e: {e: 1}})  # e's divisor, pulled back
+    for _ in range(rng.randint(1, 2)):
+        cur = models[-1]
+        cells = [t for t in cur.strata if t.r >= 2]
+        near = [t for t in cells if exceptional.pullback[e].keys() & set(t.vertices)]
+        pool = near if near and rng.random() < 0.5 else cells
+        if rng.random() < 0.5:
+            tops = [t for t in pool if sk.is_maximal(cur, t.id)] or [
+                t for t in cells if sk.is_maximal(cur, t.id)]
+            out, _, step_trace = sk.blowup_stratum(cur, rng.choice(tops).id)
+        else:
+            x = random_point(rng, cur, rng.choice(pool).id, max_part=20)
+            out, _, step_trace = sk.reduce_to_divisorial(cur, x)
+        for step in step_trace.steps:
+            exceptional.extend(step)
+        chain.append(step_trace)
+        models.append(out)
+    final = models[-1]
+    composed = sk.BlowupTrace(pullback={c.id: {c.id: 1} for c in model.components})
+    for step in (step for t in chain for step in t.steps):
+        composed.extend(step)
+
+    def rho(x):
+        # each trace of the chain names the strata it replaced on its own
+        sid = x.stratum
+        for old, new, t in reversed(list(zip(models, models[1:], chain))):
+            sid = _lies_over(old, new, t, sid)
+        return _rho(model, final, composed, x, sid)
+
+    descendants = set(exceptional.pullback[e])
+    for t in final.strata:
+        x = random_point(rng, final, t.id)
+        jump = sk.weight(final, x) - sk.weight(model, rho(x))
+        order = sk.pullback_value(final, exceptional, x, e)
+        assert jump == model.m * (codim - len(J)) * order, (t.id, x)
+        assert (jump > 0) == bool(descendants & set(t.vertices)), (t.id, x)
+    for t in model.strata:
+        y = random_point(rng, model, t.id)
+        assert rho(sk.transfer_point(model, final, composed, y)) == y
 
 
 def _report(model):

@@ -9,8 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skelkit as sk
+import subdivide_oracle
 import transfer_oracle
-from skelkit.modify import _reduction_length, _transform_support
+from skelkit.model import _Complex
+from skelkit.modify import (
+    _apply_step, _exc_ids, _reduction_length, _scaled, _subdivide, _transform_support,
+)
 from conftest import (
     KODAIRA_NAMES, load_bundled, random_complex_model, random_graph_model, random_point,
 )
@@ -88,6 +92,8 @@ def test_blowup_point_restrictions():
         sk.blowup_point(m, "s_A_B_C", ("X",), 2)  # unknown center component
     with pytest.raises(sk.DomainError):
         sk.blowup_point(m, "s_A_B_C", (), 2)
+    with pytest.raises(sk.DomainError, match="'A,A' repeat a component"):
+        sk.blowup_point(m, "s_A_B_C", ("A", "A"), 2)  # repeated center component
     with pytest.raises(sk.DomainError):
         sk.blowup_point(m, "s_A_B_C", ("A", "B"), 1)  # codim below |J|
     with pytest.raises(sk.DomainError):
@@ -343,6 +349,67 @@ def test_reduction_and_transfer_match_the_fraction_replay(rng):
         assert got.stratum == want.stratum and got.alpha == want.alpha, (y, got, want)
         assert all(type(a) is F for a in got.alpha.values())
     assert sk.transfer_point(model, final, trace, x).stratum == final.singleton(comp).id
+
+
+def _with_taken_names(rng, model):
+    """The model with 1-3 strata renamed to ids a blow-up would hand out, so that
+    the new strata get ~k suffixes."""
+    comps = [c.id for c in model.components]
+    taken = [f"v_exc{k}" for k in (1, 2, 3)] + [
+        f"f_exc{k}_{c}" for k in (1, 2) for c in comps
+    ] + [f"f_exc1_{a}_{b}" for a, b in zip(comps, comps[1:])]
+    names = dict(zip(rng.sample([s.id for s in model.strata], rng.randint(1, 3)),
+                     rng.sample(taken, 3)))
+
+    def rn(sid):
+        return names.get(sid, sid)
+
+    strata = []
+    for s in model.strata:
+        h = s.horizontal
+        if h is not None:
+            h = sk.SeriesPair(dataclasses.replace(h.num, stratum=rn(s.id)),
+                              dataclasses.replace(h.den, stratum=rn(s.id)))
+        fm = {v: rn(t) for v, t in s.face_map.items()}
+        strata.append(dataclasses.replace(s, id=rn(s.id), face_map=fm, horizontal=h))
+    return model.replace(strata=tuple(strata))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_subdivide_matches_the_face_walk_reference(rng):
+    # reductions of random points and blow-ups of random maximal strata, step by
+    # step, on a working complex each: equal steps, models and coface indexes
+    pick = rng.randrange(4)
+    if pick == 0:
+        model = load_bundled(rng.choice(KODAIRA_WITH_EDGES))
+    else:
+        model = (random_graph_model, random_complex_model, _simplex_model)[pick - 1](rng)
+    if rng.random() < 0.5:
+        model = _with_taken_names(rng, model)
+    assert sk.validate(model).ok
+    work, ref = _Complex(model), subdivide_oracle.Complex(model)
+    exc_ids = _exc_ids(work)
+
+    def step(sigma_id):
+        e_id = next(exc_ids)
+        got = _subdivide(work, sigma_id, e_id)
+        assert got == subdivide_oracle._subdivide(ref, sigma_id, e_id)
+        assert sk.serialize_model(work.freeze()) == sk.serialize_model(ref.freeze())
+        assert work._coface_index == ref._coface_index
+        return got
+
+    for _ in range(rng.randint(1, 3)):
+        frozen = work.freeze()
+        if rng.random() < 0.5:
+            cell = rng.choice([s.id for s in frozen.strata if s.r >= 2])
+            x = random_point(rng, frozen, cell, max_part=rng.choice([9, 30, 60]))
+            sid, alpha = cell, _scaled(x.alpha)[1]
+            while work.stratum(sid).r > 1:
+                sid, alpha = _apply_step(step(sid), sid, alpha)
+        else:
+            step(rng.choice([s.id for s in frozen.strata
+                             if s.r >= 2 and sk.is_maximal(frozen, s.id)]))
 
 
 @settings(max_examples=300, deadline=None)
