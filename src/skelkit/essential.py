@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 from .errors import DomainError, _ids
 from .model import (
     FormData, PrimeComponent, SncdModel, Stratum, ValidationReport, Violation,
-    _degree_violations, _face_edges, _flag_break, _multiplicity, connected_components,
+    _bends, _degree_violations, _face_edges, _flag_break, _multiplicity, cofaces,
+    connected_components,
 )
 
 
@@ -85,10 +86,21 @@ def apply_form(model: SncdModel, form: FormData) -> SncdModel:
 
 
 def _flagged(model: SncdModel, form: Optional[FormData], flag: str) -> set[str]:
-    """Ids of the strata with a flag on: the form's flags if given, else the model's."""
-    if form is None:
-        return {s.id for s in model.strata if getattr(s, flag)}
-    return {sid for sid, on in getattr(form, flag).items() if on}
+    """Ids of the strata with a flag on: the form's flags if given, else the model's.
+
+    On the model's own data a stratum whose expansion bends as the flag
+    would counts too, with its cofaces, so the set stays closed upward
+    as the flags are.  Forms carry no expansions.
+    """
+    if form is not None:
+        return {sid for sid, on in getattr(form, flag).items() if on}
+    out = set()
+    for s in model.strata:
+        if getattr(s, flag):
+            out.add(s.id)
+        elif s.horizontal is not None and _bends(s, flag):
+            out.update(cofaces(model, s.id))
+    return out
 
 
 def min_weight(model: SncdModel, form: Optional[FormData] = None) -> Fraction:
@@ -119,9 +131,11 @@ def ks_skeleton(model: SncdModel, form: Optional[FormData] = None) -> Subcomplex
     """Faces on which the weight function is identically minimal.
 
     A stratum qualifies when every vertex realizes the minimal ratio
-    and the stratum stays off the form's zero locus; flag monotonicity
-    makes the result face-closed.  The result can be empty only for
-    flag data no actual form produces.
+    and the stratum stays off the form's zero locus, which on the
+    model's own data takes in every stratum whose expansion numerator
+    bends, with its cofaces; flag monotonicity makes the result
+    face-closed.  The result can be empty only for flag data no actual
+    form produces.
     """
     return minimal_skeleton(model, form)[1]
 
@@ -137,8 +151,9 @@ def minimal_skeleton(
     minimal = {
         c.id for c in model.components if mu[c.id] * lo.denominator == lo.numerator * c.N
     }
-    # face-closed without a walk: a face keeps the vertex test, and the zero flags,
-    # checked monotone by _check_form or validate, keep it off the zero locus
+    # face-closed without a walk: a face keeps the vertex test, and the zero set,
+    # closed upward (flags checked monotone by _check_form or validate, bends with
+    # their cofaces), keeps it off the zero locus
     chosen = frozenset(
         s.id for s in model.strata
         if s.id not in zero and all(v in minimal for v in s.vertices)
@@ -166,4 +181,4 @@ def is_connected(model: SncdModel, sub: Subcomplex) -> bool:
     """
     if sub.empty:
         return False
-    return len(connected_components(model, sorted(sub.strata))) == 1
+    return len(connected_components(model, sub.strata)) == 1

@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import DomainError, _echo
-from .series import SeriesPair
+from .series import SeriesPair, _antichain
 
 KIND_SNCD = "sncd-over-dvr"
 KIND_LOG_RESOLUTION = "log-resolution"
@@ -181,6 +181,21 @@ class SncdModel:
         return _replace(self, **changes)
 
 
+def _bends(s: Stratum, flag: str) -> bool:
+    """Whether a stratum's expansion bends the weight as the flag would.
+
+    A numerator (for touches_zero) or denominator (for touches_pole)
+    with more than one minimal exponent has a valuation that is a
+    minimum of several linear forms, so the weight on the face is
+    concave or convex there and not affine, flag or no flag.
+    """
+    h = s.horizontal
+    if h is None:
+        return False
+    side = h.num if flag == "touches_zero" else h.den
+    return len(_antichain(side.exponents)) > 1
+
+
 def _multiplicity(c: PrimeComponent) -> int:
     """N of a component; DomainError naming it when N < 1, as validate reports."""
     if c.N < 1:
@@ -258,9 +273,10 @@ class _Complex:
     """A model's complex under construction: a chain of blow-ups runs here in place.
 
     It copies the model's id maps and coface index (as sets) once; each
-    blow-up then adds its vertex and swaps its star's strata at the cost
-    of the star, and freeze() builds the one SncdModel a caller sees.
-    face and cofaces accept it in place of a model.
+    blow-up then adds its vertex, removes the strata of its center's star
+    (none for a point center) and adds its cone, at the cost of the star,
+    and freeze() builds the one SncdModel a caller sees.  face and cofaces
+    accept it in place of a model.
     """
 
     # the model's lookups, run on this object's own maps

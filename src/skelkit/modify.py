@@ -6,6 +6,9 @@ replaces the star of the stratum by its stellar subdivision.  Blowing
 up a transverse generic center of codimension c through the components
 J adds N_e = sum(N_j), mu_e = sum(mu_j) + m*(c - |J|) and glues a new
 cone of strata onto the existing complex without removing anything.
+Both run through one kernel, `_subdivide`, on the stratum J spans;
+there expansion data is pulled back onto the new strata, and its
+center order replaces sum(mu_j) in mu_e.
 
 Both transforms record a trace: the centers, the new vertices, how the
 removed strata were replaced, and the multiplicity decomposition of
@@ -31,9 +34,10 @@ from .skeleton import SkeletonPoint, check_point, value_on_component
 class BlowupStep:
     """One blow-up: its center, the new vertex, and the stratum replacements.
 
-    codim equals len(center_vertices) for a stratum center; a larger
-    codim means a transverse generic point center, which removes no
-    strata (replacements is then empty).
+    center_vertices are the vertices of center_stratum, the stratum whose
+    closure holds the center.  codim equals len(center_vertices) for a
+    stratum center; a larger codim means a transverse generic point
+    center, which removes no strata (replacements is then empty).
     """
 
     center_stratum: str
@@ -113,12 +117,6 @@ def _stratum_namer(model: SncdModel | _Complex, freed: frozenset[str] = frozense
     return name
 
 
-def _subsets(vertices: tuple[str, ...], largest: int):
-    """Subsets of at most `largest` vertices, in the tuple's order, smallest first."""
-    for k in range(largest + 1):
-        yield from combinations(vertices, k)
-
-
 def _transform_support(
     s: Support, center: tuple[str, ...], new_vertices: tuple[str, ...],
     e_id: str, new_stratum: str, jacobian: int,
@@ -143,45 +141,50 @@ def _transform_support(
     return Support(new_stratum, new_vertices, _antichain(out))
 
 
-def _exceptional_mu(model: _Complex, sigma: Stratum) -> int:
-    """Weight datum of the exceptional component over a stratum closure.
+def _exceptional_mu(model: _Complex, sigma: Stratum, codim: int) -> int:
+    """Weight datum of the exceptional component over a center in a stratum closure.
 
-    Without expansion data this is the sum of the vertex data; with it,
+    Without expansion data this is sum(mu_j) + m * (codim - r); with it,
     the center order of the expansion replaces the sum of the declared
     orders (the two agree when the expansion is monomial times a unit).
     """
     if sigma.horizontal is None:
-        return sum(model.component(v).mu for v in sigma.vertices)
-    r = sigma.r
+        return sum(model.component(v).mu for v in sigma.vertices) + model.m * (codim - sigma.r)
     lo_num = min(sum(beta) for beta in sigma.horizontal.num.exponents)
     lo_den = min(sum(beta) for beta in sigma.horizontal.den.exponents)
-    return model.m * r + lo_num - lo_den
+    return model.m * codim + lo_num - lo_den
 
 
-def _subdivide(model: _Complex, sigma_id: str, e_id: str) -> BlowupStep:
-    """Star subdivision, in place, at an arbitrary stratum with at least two vertices.
+def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupStep:
+    """Blow up, in place, a codim-`codim` center in the closure of a stratum sigma on J.
 
-    Each coface tau of the center J (J included) is replaced by the cone
-    with apex e_id over tau's faces on A + L, for A a proper subset of J
-    and L tau's vertices outside J; the update is local to the star.  The
+    With codim = |J| the center is the closure itself: each coface tau of
+    sigma (sigma included) is replaced by the cone with apex e_id over
+    tau's faces on A + L, for A a proper subset of J and L tau's vertices
+    outside J, so the update is local to the star.  A larger codim is a
+    transverse generic center: nothing is removed, and the cone over
+    sigma's faces on every subset A of J, J included, is glued on.  The
     subsets are listed once per step, and each face on A + L is read by
     walking the dropped vertices J - A through the working complex's face
     maps: the walk `face` makes, without its argument checks.
     """
     sigma = model.stratum(sigma_id)
-    if sigma.r < 2:
+    if codim < 2:
         raise UnsupportedCenterError(
             f"stratum {sigma_id!r} is a single component; blowing up a divisor "
             f"is an isomorphism and changes no complex"
         )
-    J, strata, jacobian = sigma.vertices, model._strata_by_id, model.m * (sigma.r - 1)
-
-    coface_ids = cofaces(model, sigma_id)
-    fresh_name = _stratum_namer(model, frozenset(coface_ids))
-    # each proper subset A of J with its facets (a, A - a) and the vertices J - A
+    J, strata, jacobian = sigma.vertices, model._strata_by_id, model.m * (codim - 1)
+    if codim == len(J):  # the closure: its star goes, for cones over proper subsets
+        removed = coface_ids = cofaces(model, sigma_id)
+        largest = len(J) - 1
+    else:  # a point center removes nothing and adds the cone over sigma
+        removed, coface_ids, largest = [], [sigma_id], len(J)
+    fresh_name = _stratum_namer(model, frozenset(removed))
+    # each subset A of J with its facets (a, A - a) and the vertices J - A
     table = [
         (A, [(a, tuple(x for x in A if x != a)) for a in A], tuple(v for v in J if v not in A))
-        for A in _subsets(J, len(J) - 1)
+        for k in range(largest + 1) for A in combinations(J, k)
     ]
 
     # name every replacement first so face maps can point forward; the new
@@ -218,8 +221,19 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str) -> BlowupStep:
                                _transform_support(h.den, J, verts, e_id, new_id, 0))
             new_strata.append(Stratum(new_id, verts, fm, tau.touches_zero, tau.touches_pole, h))
 
-    model.add_vertex(e_id, J, _exceptional_mu(model, sigma), coface_ids, new_strata)
-    return BlowupStep(sigma_id, J, len(J), e_id, replacements)
+    model.add_vertex(e_id, J, _exceptional_mu(model, sigma, codim), removed, new_strata)
+    return BlowupStep(sigma_id, J, codim, e_id, replacements if removed else {})
+
+
+def _blowup_once(
+    model: SncdModel, sigma_id: str, codim: int
+) -> tuple[SncdModel, str, BlowupTrace]:
+    """One kernel step on a working copy of the model: the new model, vertex and trace."""
+    work = _Complex(model)
+    e_id = next(_exc_ids(work))
+    trace = _new_trace(model)
+    trace.extend(_subdivide(work, sigma_id, e_id, codim))
+    return work.freeze(), e_id, trace
 
 
 def blowup_stratum(
@@ -237,11 +251,7 @@ def blowup_stratum(
             f"stratum {stratum_id!r} is not maximal; only maximal strata are "
             f"accepted as stratum centers"
         )
-    work = _Complex(model)
-    e_id = next(_exc_ids(work))
-    trace = _new_trace(model)
-    trace.extend(_subdivide(work, stratum_id, e_id))
-    return work.freeze(), e_id, trace
+    return _blowup_once(model, stratum_id, model.stratum(stratum_id).r)
 
 
 def blowup_point(
@@ -253,7 +263,7 @@ def blowup_point(
     exactly the listed components, which must span a face of the given
     maximal stratum.  With codim equal to the number of components the
     center fills the whole face closure and the operation degenerates
-    to blowup_stratum.
+    to blowup_stratum.  The trace's step is centered on that face.
     """
     s = model.stratum(stratum_id)
     if not is_maximal(model, stratum_id):
@@ -272,39 +282,13 @@ def blowup_point(
         raise DomainError(
             f"codimension {_echo(str(codim))} outside [{len(J)}, {model.ambient_dim}]"
         )
-    if codim == len(J):
-        if J != s.vertices:
-            raise UnsupportedCenterError(
-                f"a codimension-{codim} center through {list(J)} fills the "
-                f"closure of a non-maximal stratum; blow up that stratum's "
-                f"cofaces instead"
-            )
-        return blowup_stratum(model, stratum_id)
-
-    e_id = next(_exc_ids(model))
-    mu_e = sum(model.component(v).mu for v in J) + model.m * (codim - len(J))
-
-    fresh_name = _stratum_namer(model)
-    subsets = list(_subsets(J, len(J)))
-    names = {A: fresh_name((e_id,) + A) for A in subsets}
-
-    new_strata = []
-    for A in subsets:
-        verts = (e_id,) + A
-        fm: dict[str, str] = {}
-        if len(verts) >= 2:
-            fm[e_id] = face(model, stratum_id, A)
-            for a in A:
-                fm[a] = names[tuple(x for x in A if x != a)]
-        new_strata.append(
-            Stratum(names[A], verts, fm, s.touches_zero, s.touches_pole, None)
+    if codim == len(J) and J != s.vertices:
+        raise UnsupportedCenterError(
+            f"a codimension-{codim} center through {list(J)} fills the "
+            f"closure of a non-maximal stratum; blow up that stratum's "
+            f"cofaces instead"
         )
-
-    work = _Complex(model)
-    work.add_vertex(e_id, J, mu_e, [], new_strata)
-    trace = _new_trace(model)
-    trace.extend(BlowupStep(stratum_id, J, codim, e_id, {}))
-    return work.freeze(), e_id, trace
+    return _blowup_once(model, face(model, stratum_id, J), codim)
 
 
 def _scaled(alpha: dict[str, Fraction]) -> tuple[int, dict[str, int]]:
@@ -402,8 +386,8 @@ def reduce_to_divisorial(
     work = _Complex(model)
     stratum_id, alpha = x.stratum, _scaled(x.alpha)[1]
     exc_ids = _exc_ids(work)
-    while work.stratum(stratum_id).r > 1:
-        step = _subdivide(work, stratum_id, next(exc_ids))
+    while (r := work.stratum(stratum_id).r) > 1:
+        step = _subdivide(work, stratum_id, next(exc_ids), r)
         trace.extend(step)
         stratum_id, alpha = _apply_step(step, stratum_id, alpha)
     comp_id = work.stratum(stratum_id).vertices[0]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .model import SncdModel, Stratum, face
+from .model import SncdModel, Stratum, _bends, face
 from .series import AlphaVector, _fraction_field, val
 
 CLASS_AFFINE = "affine"
@@ -161,24 +161,29 @@ def weight(model: SncdModel, x: SkeletonPoint) -> Fraction:
 def value_on_component(model: SncdModel, x: SkeletonPoint, comp_id: str) -> Fraction:
     """Valuation of a prime component at the point: alpha_c on vertices, else 0."""
     model.component(comp_id)
-    s = model.stratum(x.stratum)
+    s = _stratum_and_check(model, x.stratum, x.alpha)
     if comp_id in s.vertices:
         return x.alpha[comp_id]
     return Fraction(0)
 
 
 def classify_face(model: SncdModel, stratum_id: str) -> str:
-    """Shape of the weight function on a face, read off the zero/pole flags.
+    """Shape of the weight function on a face, read off the zero/pole flags
+    and the bends of the face's expansion.
 
-    No flags: the weight is affine.  Zeros only make it concave (a
+    A zero is the touches_zero flag or a numerator with more than one
+    minimal exponent, a pole the touches_pole flag or such a denominator.
+    Neither: the weight is affine.  Zeros only make it concave (a
     minimum of affine functions), poles only make it convex, and with
-    both present nothing can be said from the flags alone.
+    both present nothing can be said from the data alone.
     """
     s = model.stratum(stratum_id)
-    if not s.touches_zero and not s.touches_pole:
+    zero = s.touches_zero or _bends(s, "touches_zero")
+    pole = s.touches_pole or _bends(s, "touches_pole")
+    if not zero and not pole:
         return CLASS_AFFINE
-    if s.touches_zero and not s.touches_pole:
+    if zero and not pole:
         return CLASS_CONCAVE
-    if s.touches_pole and not s.touches_zero:
+    if pole and not zero:
         return CLASS_CONVEX
     return CLASS_UNKNOWN

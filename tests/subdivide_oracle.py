@@ -8,20 +8,28 @@ one coface and one subset at a time, asks the public, argument-checking
 `has_stratum`.  It runs on `Complex`, a working complex whose coface
 index is a plain dict filled through `setdefault`.  Both kernels, each
 on its own complex, must give equal steps, models and coface indexes.
+
+`blowup_point` is the earlier point blow-up, which built its cone with a
+builder of its own instead of going through the kernel; on a frozen
+model the `_stratum_namer` here names strata as the module's did.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Optional
 
-from skelkit.errors import UnsupportedCenterError
-from skelkit.model import PrimeComponent, SncdModel, Stratum, _Complex, cofaces, face
-from skelkit.modify import BlowupStep, _exceptional_mu, _subsets
+from skelkit.errors import DomainError, UnsupportedCenterError, _echo
+from skelkit.model import (
+    PrimeComponent, SncdModel, Stratum, _Complex, cofaces, face, is_maximal,
+)
+from skelkit.modify import BlowupStep, BlowupTrace, _exc_ids, _new_trace, blowup_stratum
 from skelkit.series import SeriesPair, Support, _antichain
 
 # Complex and the functions below are the earlier code, unchanged but for
 # the class name; their annotations name skelkit's working complex, and
-# they run on Complex as well.
+# they run on Complex as well.  `_subsets` and `_exceptional_mu` are the
+# earlier module's helpers, which the merged kernel no longer has.
 
 
 class Complex:
@@ -88,6 +96,27 @@ def _stratum_namer(model: SncdModel | _Complex, freed: frozenset[str] = frozense
         return out
 
     return name
+
+
+def _subsets(vertices: tuple[str, ...], largest: int):
+    """Subsets of at most `largest` vertices, in the tuple's order, smallest first."""
+    for k in range(largest + 1):
+        yield from combinations(vertices, k)
+
+
+def _exceptional_mu(model: _Complex, sigma: Stratum) -> int:
+    """Weight datum of the exceptional component over a stratum closure.
+
+    Without expansion data this is the sum of the vertex data; with it,
+    the center order of the expansion replaces the sum of the declared
+    orders (the two agree when the expansion is monomial times a unit).
+    """
+    if sigma.horizontal is None:
+        return sum(model.component(v).mu for v in sigma.vertices)
+    r = sigma.r
+    lo_num = min(sum(beta) for beta in sigma.horizontal.num.exponents)
+    lo_den = min(sum(beta) for beta in sigma.horizontal.den.exponents)
+    return model.m * r + lo_num - lo_den
 
 
 def _transform_support(
@@ -173,3 +202,66 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str) -> BlowupStep:
 
     model.add_vertex(e_id, J, _exceptional_mu(model, sigma), coface_ids, new_strata)
     return BlowupStep(sigma_id, J, len(J), e_id, replacements)
+
+
+def blowup_point(
+    model: SncdModel, stratum_id: str, center: tuple[str, ...], codim: int
+) -> tuple[SncdModel, str, BlowupTrace]:
+    """Blow up a transverse generic center through the components `center`.
+
+    The center is a generic codimension-`codim` subvariety met along
+    exactly the listed components, which must span a face of the given
+    maximal stratum.  With codim equal to the number of components the
+    center fills the whole face closure and the operation degenerates
+    to blowup_stratum.
+    """
+    s = model.stratum(stratum_id)
+    if not is_maximal(model, stratum_id):
+        raise UnsupportedCenterError(
+            f"stratum {stratum_id!r} is not maximal"
+        )
+    if len(set(center)) != len(center):
+        raise DomainError(f"center components {_echo(','.join(center))} repeat a component")
+    J = tuple(v for v in s.vertices if v in set(center))
+    if len(J) != len(center) or not center:
+        raise DomainError(
+            f"center components {_echo(','.join(center))} are not a nonempty subset of "
+            f"the vertices of stratum {stratum_id!r}"
+        )
+    if codim < len(J) or codim > model.ambient_dim:
+        raise DomainError(
+            f"codimension {_echo(str(codim))} outside [{len(J)}, {model.ambient_dim}]"
+        )
+    if codim == len(J):
+        if J != s.vertices:
+            raise UnsupportedCenterError(
+                f"a codimension-{codim} center through {list(J)} fills the "
+                f"closure of a non-maximal stratum; blow up that stratum's "
+                f"cofaces instead"
+            )
+        return blowup_stratum(model, stratum_id)
+
+    e_id = next(_exc_ids(model))
+    mu_e = sum(model.component(v).mu for v in J) + model.m * (codim - len(J))
+
+    fresh_name = _stratum_namer(model)
+    subsets = list(_subsets(J, len(J)))
+    names = {A: fresh_name((e_id,) + A) for A in subsets}
+
+    new_strata = []
+    for A in subsets:
+        verts = (e_id,) + A
+        fm: dict[str, str] = {}
+        if len(verts) >= 2:
+            fm[e_id] = face(model, stratum_id, A)
+            for a in A:
+                fm[a] = names[tuple(x for x in A if x != a)]
+        new_strata.append(
+            Stratum(names[A], verts, fm, s.touches_zero, s.touches_pole, None)
+        )
+
+    work = _Complex(model)
+    work.add_vertex(e_id, J, mu_e, [], new_strata)
+    trace = _new_trace(model)
+    trace.extend(BlowupStep(stratum_id, J, codim, e_id, {}))
+    return work.freeze(), e_id, trace

@@ -164,6 +164,56 @@ def test_blowup_point(tmp_path, capsys):
     assert code == 1 and "integer" in err
 
 
+def _with_expansion(model, sid, num, den):
+    """The model with one stratum's expansion replaced by the given exponent lists."""
+    s = model.stratum(sid)
+    pair = sk.SeriesPair(sk.Support(sid, s.vertices, frozenset(num)),
+                         sk.Support(sid, s.vertices, frozenset(den)))
+    return model.replace(strata=tuple(
+        dataclasses.replace(t, horizontal=pair) if t is s else t for t in model.strata))
+
+
+def test_a_bending_numerator_keeps_its_stratum_off_the_skeleton(tmp_path, capsys):
+    # the weight on e is min(a, b) + a + b: 1 at the vertices, 3/2 in the middle
+    edge = sk.graph_model(sk.KIND_SNCD, 1, 2, [("A", "A", 1, 1), ("B", "B", 1, 1)],
+                          [("e", "A", "B")])
+    edge = _with_expansion(edge, "e", [(1, 0), (0, 1)], [(0, 0)])
+    paths = {}
+    for kind in (sk.KIND_SNCD, sk.KIND_LOG_RESOLUTION):
+        paths[kind] = str(tmp_path / f"{kind}.model")
+        sk.save_model(edge.replace(kind=kind), paths[kind])
+    p, lr = paths[sk.KIND_SNCD], paths[sk.KIND_LOG_RESOLUTION]
+    assert run(capsys, "validate", p) == (0, "valid\n", "")
+    assert run(capsys, "weight", p, "--stratum", "e", "--alpha", "1/2,1/2") == (0, "3/2\n", "")
+    assert run(capsys, "ks", p) == (0, "min=1; strata={v_A,v_B}; connected=false\n", "")
+    assert run(capsys, "classify", p, "--stratum", "e") == (0, "concave\n", "")
+    assert run(capsys, "lct", lr) == (0, "lct=1; sk_pair={v_A,v_B}\n", "")
+    assert run(capsys, "report", lr) == (
+        0, "component {e,v_A,v_B}: threshold locus connected=false\n", "")
+    assert run(capsys, "export", p)[1] == (
+        'graph dual_complex {\n'
+        '  "e" [label="e: {A,B}"];\n'
+        '  "v_A" [label="v_A: A (N=1, mu=1)", style=filled, fillcolor=lightgrey];\n'
+        '  "v_B" [label="v_B: B (N=1, mu=1)", style=filled, fillcolor=lightgrey];\n'
+        '  "e" -- "v_B";\n'
+        '  "e" -- "v_A";\n'
+        '}\n'
+    )
+
+
+def test_a_bending_denominator_is_a_pole(tmp_path, capsys):
+    # the weight at (1/4, 1/6) is 1/4, below min(mu / N) = 1/3
+    p = str(tmp_path / "pole.model")
+    sk.save_model(_with_expansion(load_bundled("edge_23"), "e_A_B", [(0, 0)], [(1, 0), (0, 1)]), p)
+    assert run(capsys, "validate", p) == (0, "valid\n", "")
+    assert run(capsys, "weight", p, "--stratum", "e_A_B", "--alpha", "1/4,1/6") == (
+        0, "1/4\n", "")
+    assert run(capsys, "ks", p) == (
+        1, "", "error: form has poles along strata ['e_A_B']; weights are unbounded "
+        "below and no minimum exists\n")
+    assert run(capsys, "classify", p, "--stratum", "e_A_B") == (0, "convex\n", "")
+
+
 def test_blowup_requires_a_center(capsys):
     code, _, err = run(capsys, "blowup", path("edge_23"))
     assert code == 1 and "needs" in err

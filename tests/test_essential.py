@@ -1,10 +1,13 @@
 """Minimal-weight skeleta, form overlays, connectivity."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skelkit as sk
+from conftest import random_complex_model, random_graph_model, random_point
 
 
 def test_subcomplex_requires_face_closure(bundled):
@@ -113,3 +116,51 @@ def test_is_connected_on_pieces(bundled):
     assert sk.is_connected(m, sk.subcomplex(m, ["v_T1"]))
     assert not sk.is_connected(m, sk.subcomplex(m, ["v_T1", "v_T2"]))
     assert sk.is_connected(m, sk.ks_skeleton(m))
+
+
+def _expansion_model(rng):
+    """A random model with m = 1, mu = k * N on most components, and on 1-2 cells
+    expansion data with the per-vertex minima mu - m that validate asks for: a
+    monomial, a numerator that bends (more than one minimal exponent) or a
+    denominator that bends.  Returns the model and each cell's kind of data."""
+    model = (random_graph_model if rng.random() < 0.5 else random_complex_model)(rng)
+    k = rng.randint(1, 2)
+    comps = [dataclasses.replace(c, mu=k * c.N + (rng.random() < 0.2)) for c in model.components]
+    mu = {c.id: c.mu for c in comps}
+    cells = [s for s in model.strata if s.r >= 2]
+    kinds = {s.id: rng.choice(["monomial", "num", "den"])
+             for s in rng.sample(cells, min(len(cells), rng.randint(1, 2)))}
+    strata = []
+    for s in model.strata:
+        if s.id in kinds:
+            base, r = tuple(mu[v] - 1 for v in s.vertices), s.r
+            units = frozenset(tuple(int(i == j) for j in range(r)) for i in range(r))
+            num = {tuple(b + u for b, u in zip(base, unit)) for unit in units}
+            num, den = {"monomial": ({base}, {(0,) * r}), "num": (num, {(0,) * r}),
+                        "den": ({base}, units)}[kinds[s.id]]
+            s = dataclasses.replace(s, horizontal=sk.SeriesPair(
+                sk.Support(s.id, s.vertices, num), sk.Support(s.id, s.vertices, den)))
+        strata.append(s)
+    return sk.SncdModel(model.kind, 1, model.ambient_dim, comps, strata), kinds
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_the_skeleton_of_expansion_models_holds_the_minimum(rng):
+    # a bending numerator keeps its cell and the cell's cofaces off the skeleton,
+    # and a bending denominator is a pole, as the flags would say
+    model, kinds = _expansion_model(rng)
+    assert sk.validate(model).ok
+    shapes = {"monomial": sk.CLASS_AFFINE, "num": sk.CLASS_CONCAVE, "den": sk.CLASS_CONVEX}
+    assert {sid: sk.classify_face(model, sid) for sid in kinds} == {
+        sid: shapes[kind] for sid, kind in kinds.items()}
+    if "den" in kinds.values():
+        with pytest.raises(sk.DomainError, match="poles"):
+            sk.min_weight(model)
+        return
+    lo, sub = sk.min_weight(model), sk.ks_skeleton(model)
+    sk.subcomplex(model, sub.strata)  # face-closed
+    for s in model.strata:
+        w = sk.weight(model, random_point(rng, model, s.id))
+        assert w >= lo
+        assert s.id not in sub or w == lo, s.id

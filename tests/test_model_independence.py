@@ -130,7 +130,7 @@ def _lies_over(old, new, trace, stratum_id):
 
     A stratum center's step names the strata it replaced; a point center's
     step (always a trace of its own) puts the cone of its new vertex over
-    the face the center meets."""
+    its center stratum, the face the center meets."""
     for step in reversed(trace.steps):
         if step.replacements:
             stratum_id = next(
@@ -138,7 +138,7 @@ def _lies_over(old, new, trace, stratum_id):
                 stratum_id,
             )
         elif step.new_vertex in new.stratum(stratum_id).vertices:
-            stratum_id = sk.face(old, step.center_stratum, step.center_vertices)
+            stratum_id = step.center_stratum
     return stratum_id
 
 

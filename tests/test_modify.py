@@ -124,6 +124,20 @@ def test_blowup_point_adds_a_cone_and_removes_nothing():
     # the cone reaches every subset of the center, the full center included,
     # because a generic codim-3 point center sits inside the curve A cap B
     assert new_ids == {f"v_{e}", f"f_{e}_A", f"f_{e}_B", f"f_{e}_A_B"}
+    assert trace.steps[0].center_stratum == "s_A_B"
+
+
+def test_a_point_cone_takes_the_flags_of_the_face_it_lies_over():
+    # the cone lies over s_A_B, which stays off the zero locus of s_A_B_C
+    m = triangle()
+    m = m.replace(strata=tuple(
+        dataclasses.replace(s, touches_zero=s.id == "s_A_B_C") for s in m.strata))
+    assert sk.validate(m).ok
+    out, e, _ = sk.blowup_point(m, "s_A_B_C", ("A", "B"), 3)
+    assert sk.validate(out).ok
+    new = [s.id for s in out.strata if e in s.vertices]
+    assert len(new) == 4
+    assert {sk.classify_face(out, sid) for sid in new} == {sk.CLASS_AFFINE}
 
 
 def test_transfer_fixes_points_off_the_center(bundled):
@@ -237,6 +251,23 @@ def horizontal_triangle_model():
     )
 
 
+def test_a_point_blowup_pulls_expansions_back():
+    m = horizontal_edge_model().replace(ambient_dim=3)
+    out, e, trace = sk.blowup_point(m, "e", ("A", "B"), 3)
+    assert sk.validate(out).ok
+    c = out.component(e)
+    # m * codim plus the center order of the expansion, 2 - 0
+    assert (c.N, c.mu) == (5, 5)
+    assert trace.steps[0].replacements == {}
+    top = out.stratum(f"f_{e}_A_B")
+    assert top.horizontal.num.exponents == {(4, 2, 0), (5, 0, 3)}
+    # as alpha_e goes to 0 the cell's weight goes to the edge's, 11/12
+    x = sk.SkeletonPoint(top.id, {e: F(1, 10**5), "A": F(1, 4) - F(1, 10**5),
+                                  "B": F(1, 6) - F(1, 10**5)})
+    assert sk.weight(out, x) == F(275003, 300000)
+    assert sk.weight(m, sk.SkeletonPoint("e", {"A": F(1, 4), "B": F(1, 6)})) == F(11, 12)
+
+
 def test_reduction_through_expansion_data_preserves_weight():
     m = horizontal_triangle_model()
     assert sk.validate(m).ok
@@ -306,13 +337,14 @@ def test_reduction_length_counts_the_blowups(rng):
     assert _reduction_length(x.alpha) == len(trace.steps)
 
 
-def _simplex_model(rng):
-    """A full simplex on 2-4 components, with expansion data on its top cell half the time."""
+def _simplex_model(rng, expansion=False):
+    """A full simplex on 2-4 components, with expansion data on its top cell half
+    the time, or always if asked."""
     r, m = rng.randint(2, 4), rng.randint(1, 2)
     names = "ABCD"[:r]
     comps = [(v, v, rng.randint(1, 4), rng.randint(m, m + 3)) for v in names]
     model = sk.full_complex_model(sk.KIND_SNCD, m, comps, [list(names)])
-    if rng.random() < 0.5:
+    if not expansion and rng.random() < 0.5:
         return model
     # per-vertex minima mu - m, as validate requires, with no single minimal monomial
     top = max(model.strata, key=lambda s: s.r)
@@ -322,6 +354,27 @@ def _simplex_model(rng):
                          sk.Support(top.id, top.vertices, frozenset({(0,) * r})))
     return model.replace(strata=tuple(
         dataclasses.replace(s, horizontal=pair) if s is top else s for s in model.strata))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_the_weight_jumps_over_a_point_center_on_expansion_simplices(rng):
+    # a point x of the cone over the top cell lies over the cell's point with
+    # coordinates x_j + x_e; the weight there is lower by m * x_e * (codim - r)
+    model = _simplex_model(rng, expansion=True)
+    top = max(model.strata, key=lambda s: s.r)
+    model = model.replace(ambient_dim=top.r + rng.randint(1, 2))
+    codim = rng.randint(top.r + 1, model.ambient_dim)
+    out, e, trace = sk.blowup_point(model, top.id, top.vertices, codim)
+    assert sk.validate(out).ok
+    for s in out.strata:
+        if e not in s.vertices:
+            continue
+        x = random_point(rng, out, s.id, max_part=rng.choice([9, 60]))
+        y = sk.SkeletonPoint(
+            top.id, {j: sk.pullback_value(out, trace, x, j) for j in top.vertices})
+        jump = model.m * x.alpha[e] * (codim - top.r)
+        assert sk.weight(out, x) - sk.weight(model, y) == jump, (s.id, x)
 
 
 KODAIRA_WITH_EDGES = [n for n in KODAIRA_NAMES if any(s.r > 1 for s in load_bundled(n).strata)]
@@ -393,7 +446,7 @@ def test_subdivide_matches_the_face_walk_reference(rng):
 
     def step(sigma_id):
         e_id = next(exc_ids)
-        got = _subdivide(work, sigma_id, e_id)
+        got = _subdivide(work, sigma_id, e_id, work.stratum(sigma_id).r)
         assert got == subdivide_oracle._subdivide(ref, sigma_id, e_id)
         assert sk.serialize_model(work.freeze()) == sk.serialize_model(ref.freeze())
         assert work._coface_index == ref._coface_index
@@ -410,6 +463,34 @@ def test_subdivide_matches_the_face_walk_reference(rng):
         else:
             step(rng.choice([s.id for s in frozen.strata
                              if s.r >= 2 and sk.is_maximal(frozen, s.id)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_blowup_point_matches_the_cone_builder_reference(rng):
+    # without flags or expansions the kernel's cone is the one the earlier
+    # builder glued on; only the step's center moves, to the face it lies over
+    pick = rng.randrange(3)
+    if pick == 0:
+        model = load_bundled(rng.choice(KODAIRA_WITH_EDGES))
+    else:
+        model = (random_graph_model, random_complex_model)[pick - 1](rng)
+    model = model.replace(ambient_dim=model.ambient_dim + rng.randint(0, 1))
+    if rng.random() < 0.5:
+        model = _with_taken_names(rng, model)
+    assert sk.validate(model).ok
+    s = rng.choice([s for s in model.strata if sk.is_maximal(model, s.id)])
+    J = tuple(rng.sample(s.vertices, rng.randint(1, min(s.r, model.ambient_dim - 1))))
+    codim = rng.randint(len(J) + 1, model.ambient_dim)
+    out, e, trace = sk.blowup_point(model, s.id, J, codim)
+    ref_out, ref_e, ref_trace = subdivide_oracle.blowup_point(model, s.id, J, codim)
+    assert e == ref_e and out == ref_out
+    assert sk.serialize_model(out) == sk.serialize_model(ref_out)
+    step = trace.steps[0]
+    assert step.replacements == {}
+    assert step.center_stratum == sk.face(model, s.id, J)
+    assert step == dataclasses.replace(ref_trace.steps[0], center_stratum=step.center_stratum)
+    assert trace.pullback == ref_trace.pullback
 
 
 @settings(max_examples=300, deadline=None)

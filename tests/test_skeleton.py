@@ -142,6 +142,13 @@ def test_value_on_component(bundled):
         sk.value_on_component(m, x, "nope")
 
 
+def test_value_on_component_checks_the_coordinates(bundled):
+    x = sk.SkeletonPoint("e_A_B", {"A": F(1, 2)})
+    for cid in ("A", "B"):
+        with pytest.raises(sk.DomainError, match=r"coordinates \['A'\] do not match"):
+            sk.value_on_component(bundled["edge_23"], x, cid)
+
+
 def test_classify_face():
     comps = (sk.PrimeComponent("A", "A", 1, 1),)
     cases = [

@@ -64,8 +64,8 @@ def reduce_to_divisorial(
     work = _Complex(model)
     stratum_id, alpha = x.stratum, dict(x.alpha)
     exc_ids = _exc_ids(work)
-    while work.stratum(stratum_id).r > 1:
-        step = _subdivide(work, stratum_id, next(exc_ids))
+    while (r := work.stratum(stratum_id).r) > 1:
+        step = _subdivide(work, stratum_id, next(exc_ids), r)
         trace.extend(step)
         stratum_id, alpha = apply_step(step, stratum_id, alpha)
     comp_id = work.stratum(stratum_id).vertices[0]
