@@ -113,10 +113,8 @@ def min_weight(model: SncdModel, form: Optional[FormData] = None) -> Fraction:
         _check_form(model, form)
     poles = _flagged(model, form, "touches_pole")
     if poles:
-        raise DomainError(
-            f"form has poles along strata {sorted(poles)}; weights are "
-            f"unbounded below and no minimum exists"
-        )
+        raise DomainError(f"form has poles along strata {_ids(poles)}; weights are "
+                          "unbounded below and no minimum exists")
     if not model.components:
         raise DomainError("model has no components")
     p = q = None  # the least mu / N so far, compared cross-multiplied

@@ -1,14 +1,14 @@
 """Combinatorial blow-ups of snc models and point transfer.
 
 Blowing up the closure of a stratum with vertex set J inserts a new
-component e with N_e = sum(N_j) and weight datum mu_e = sum(mu_j), and
-replaces the star of the stratum by its stellar subdivision.  Blowing
-up a transverse generic center of codimension c through the components
-J adds N_e = sum(N_j), mu_e = sum(mu_j) + m*(c - |J|) and glues a new
-cone of strata onto the existing complex without removing anything.
-Both run through one kernel, `_subdivide`, on the stratum J spans;
-there expansion data is pulled back onto the new strata, and its
-center order replaces sum(mu_j) in mu_e.
+component e with N_e = sum(N_j) and replaces the star of the stratum
+by its stellar subdivision.  Blowing up a transverse generic center of
+codimension c through the components J inserts the same e but glues a
+new cone of strata onto the existing complex without removing anything.
+Both run through one kernel, `_subdivide`, on the stratum J spans.  Its
+mu_e is N_e times the weight at e's divisorial point, plus m*(c - |J|):
+sum(mu_j) + m*(c - |J|) without expansion data.  Expansion data is
+pulled back onto the new strata.
 
 Both transforms record a trace: the centers, the new vertices, how the
 removed strata were replaced, and the multiplicity decomposition of
@@ -26,8 +26,8 @@ from math import lcm
 
 from .errors import DomainError, UnsupportedCenterError, _echo
 from .model import SncdModel, Stratum, _Complex, cofaces, face, is_maximal
-from .series import SeriesPair, Support, _antichain
-from .skeleton import SkeletonPoint, check_point, value_on_component
+from .series import SeriesPair, _lift
+from .skeleton import SkeletonPoint, _weight_on, check_point, value_on_component
 
 
 @dataclass(frozen=True)
@@ -117,44 +117,6 @@ def _stratum_namer(model: SncdModel | _Complex, freed: frozenset[str] = frozense
     return name
 
 
-def _transform_support(
-    s: Support, center: tuple[str, ...], new_vertices: tuple[str, ...],
-    e_id: str, new_stratum: str, jacobian: int,
-) -> Support:
-    """Pull an exponent support back through a stratum blow-up.
-
-    The exceptional coordinate collects the total center order of each
-    monomial plus the Jacobian shift; coordinates of dropped center
-    vertices disappear (their coordinates become units at the new
-    stratum); everything else is carried over.  Dominated exponents are
-    dropped before the support is built, as reduce_support would.
-    """
-    idx = {v: i for i, v in enumerate(s.vertices)}
-    center_pos = [idx[j] for j in center]
-    out = set()
-    for beta in s.exponents:
-        e_coord = sum(beta[p] for p in center_pos) + jacobian
-        vec = tuple(
-            e_coord if v == e_id else beta[idx[v]] for v in new_vertices
-        )
-        out.add(vec)
-    return Support(new_stratum, new_vertices, _antichain(out))
-
-
-def _exceptional_mu(model: _Complex, sigma: Stratum, codim: int) -> int:
-    """Weight datum of the exceptional component over a center in a stratum closure.
-
-    Without expansion data this is sum(mu_j) + m * (codim - r); with it,
-    the center order of the expansion replaces the sum of the declared
-    orders (the two agree when the expansion is monomial times a unit).
-    """
-    if sigma.horizontal is None:
-        return sum(model.component(v).mu for v in sigma.vertices) + model.m * (codim - sigma.r)
-    lo_num = min(sum(beta) for beta in sigma.horizontal.num.exponents)
-    lo_den = min(sum(beta) for beta in sigma.horizontal.den.exponents)
-    return model.m * codim + lo_num - lo_den
-
-
 def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupStep:
     """Blow up, in place, a codim-`codim` center in the closure of a stratum sigma on J.
 
@@ -203,6 +165,9 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupS
     for tid in coface_ids:
         tau, mine = strata[tid], replacements[tid]
         L = tuple(v for v in tau.vertices if v not in J)
+        if (h := tau.horizontal) is not None:  # positions in the expansion's vertex order
+            at = {v: i for i, v in enumerate(h.num.vertices)}
+            center_at = [at[j] for j in J]
         for A, facets, drop in table:
             new_id = mine[A]
             fm: dict[str, str] = {}
@@ -215,13 +180,15 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupS
                     fm[a] = mine[rest]
                 for l in L:
                     fm[l] = replacements[tau.face_map[l]][A]
-            verts, h = vertices_of[new_id], tau.horizontal
+            verts, pair = vertices_of[new_id], None
             if h is not None:
-                h = SeriesPair(_transform_support(h.num, J, verts, e_id, new_id, jacobian),
-                               _transform_support(h.den, J, verts, e_id, new_id, 0))
-            new_strata.append(Stratum(new_id, verts, fm, tau.touches_zero, tau.touches_pole, h))
+                keep_at = [at[v] for v in verts[1:]]
+                pair = SeriesPair(_lift(h.num, new_id, verts, center_at, keep_at, jacobian),
+                                  _lift(h.den, new_id, verts, center_at, keep_at, 0))
+            new_strata.append(Stratum(new_id, verts, fm, tau.touches_zero, tau.touches_pole, pair))
 
-    model.add_vertex(e_id, J, _exceptional_mu(model, sigma, codim), removed, new_strata)
+    mu_e = _weight_on(model, sigma, dict.fromkeys(J, 1)) + model.m * (codim - len(J))
+    model.add_vertex(e_id, J, mu_e, removed, new_strata)
     return BlowupStep(sigma_id, J, codim, e_id, replacements if removed else {})
 
 
@@ -336,10 +303,13 @@ def transfer_point(
     component values are invariants of the rewrite.
     """
     check_point(source, x)
-    stratum_id = x.stratum
-    d, alpha = _scaled(x.alpha)
-    for step in trace.steps:
-        stratum_id, alpha = _apply_step(step, stratum_id, alpha)
+    stratum_id, (d, alpha) = x.stratum, _scaled(x.alpha)
+    try:
+        for step in trace.steps:
+            stratum_id, alpha = _apply_step(step, stratum_id, alpha)
+    except KeyError:  # a step subdivides a stratum of this id on other vertices
+        raise DomainError("trace does not start at the given source model: stratum "
+                          f"{stratum_id!r} lacks a step's center") from None
     result = SkeletonPoint(stratum_id, {v: Fraction(a, d) for v, a in alpha.items()})
     if not target.has_stratum(stratum_id):
         raise DomainError(

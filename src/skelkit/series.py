@@ -4,7 +4,8 @@ A series in the local coordinates of a stratum is tracked only through
 its support, a finite set of exponent vectors in Z^r with nonnegative
 entries.  The monomial valuation attached to a weight tuple alpha
 is the minimum of the linear form alpha . beta over the support, which
-only depends on the dominance-minimal exponents.
+only depends on the dominance-minimal exponents.  A blow-up pulls each
+support back onto the new strata over its center.
 """
 
 from __future__ import annotations
@@ -107,8 +108,12 @@ def val(s: Support, a: AlphaVector) -> Fraction:
     Fraction(1, 2)
     """
     _check_match(s, a)
-    weights = [a.alpha[v] for v in s.vertices]
-    return min(sum(w * b for w, b in zip(weights, beta)) for beta in s.exponents)
+    return _order(s.exponents, [a.alpha[v] for v in s.vertices])
+
+
+def _order(exponents, weights):
+    """Min-plus evaluation: the least weights . beta over the exponent vectors."""
+    return min(sum(w * b for w, b in zip(weights, beta)) for beta in exponents)
 
 
 def reduce_support(s: Support) -> Support:
@@ -133,3 +138,15 @@ def _antichain(exponents) -> frozenset[tuple[int, ...]]:
             kept.append(beta)
     return frozenset(kept)
 
+
+
+def _lift(s: Support, stratum: str, vertices, center_at, keep_at, shift: int) -> Support:
+    """Pull a support back through a blow-up onto a new stratum on `vertices`.
+
+    Each beta becomes (sum of beta at center_at, plus shift) for the first,
+    exceptional vertex, then beta at keep_at for the rest; the other
+    coordinates become units.  Dominated vectors go, as in reduce_support.
+    """
+    lifted = {(sum(beta[p] for p in center_at) + shift, *(beta[p] for p in keep_at))
+              for beta in s.exponents}
+    return Support(stratum, vertices, _antichain(lifted))

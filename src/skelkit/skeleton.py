@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .model import SncdModel, Stratum, _bends, face
-from .series import AlphaVector, _fraction_field, val
+from .model import SncdModel, Stratum, _Complex, _bends, face
+from .series import AlphaVector, _check_match, _fraction_field, _order
 
 CLASS_AFFINE = "affine"
 CLASS_CONCAVE = "concave"
@@ -152,10 +152,18 @@ def weight(model: SncdModel, x: SkeletonPoint) -> Fraction:
     Fraction(5, 12)
     """
     s = check_point(model, x)
-    if s.horizontal is None:
-        return sum(x.alpha[v] * model.component(v).mu for v in s.vertices)
-    total = sum(x.alpha.values())
-    return val(s.horizontal.num, x) - val(s.horizontal.den, x) + model.m * total
+    if s.horizontal is not None:  # refuse an expansion on another stratum or vertex set
+        _check_match(s.horizontal.num, x)
+    return _weight_on(model, s, x.alpha)
+
+
+def _weight_on(model: SncdModel | _Complex, s: Stratum, alpha: dict):
+    """The module's weight formula on the face s at coordinates alpha, normalized or not."""
+    h = s.horizontal
+    if h is None:
+        return sum(alpha[v] * model.component(v).mu for v in s.vertices)
+    num, den = (_order(f.exponents, [alpha[v] for v in f.vertices]) for f in (h.num, h.den))
+    return num - den + model.m * sum(alpha.values())
 
 
 def value_on_component(model: SncdModel, x: SkeletonPoint, comp_id: str) -> Fraction:

@@ -1,5 +1,6 @@
 """Shared fixtures: the bundled corpus and seeded random generators."""
 
+import dataclasses
 import io
 import json
 import traceback
@@ -75,6 +76,25 @@ def random_complex_model(rng):
     return sk.full_complex_model(
         sk.KIND_SNCD, rng.randint(1, 3), comps, maximal, ambient_dim=3
     )
+
+
+def random_simplex_model(rng, expansion=False):
+    """A full simplex on 2-4 components, with expansion data on its top cell half
+    the time, or always if asked."""
+    r, m = rng.randint(2, 4), rng.randint(1, 2)
+    names = "ABCD"[:r]
+    comps = [(v, v, rng.randint(1, 4), rng.randint(m, m + 3)) for v in names]
+    model = sk.full_complex_model(sk.KIND_SNCD, m, comps, [list(names)])
+    if not expansion and rng.random() < 0.5:
+        return model
+    # per-vertex minima mu - m, as validate requires, with no single minimal monomial
+    top = max(model.strata, key=lambda s: s.r)
+    base = [mu - m for *_, mu in comps]
+    num = frozenset(tuple(b + (i == j) for j, b in enumerate(base)) for i in range(r))
+    pair = sk.SeriesPair(sk.Support(top.id, top.vertices, num),
+                         sk.Support(top.id, top.vertices, frozenset({(0,) * r})))
+    return model.replace(strata=tuple(
+        dataclasses.replace(s, horizontal=pair) if s is top else s for s in model.strata))
 
 
 def random_point(rng, model, stratum_id, max_part=9):

@@ -9,7 +9,7 @@ skeleton, or the same `DomainError`, on every form.
 
 from fractions import Fraction
 
-from skelkit.errors import DomainError
+from skelkit.errors import DomainError, _ids
 from skelkit.essential import subcomplex
 from skelkit.model import FormData, PrimeComponent, SncdModel, Stratum, validate
 
@@ -57,7 +57,7 @@ def minimal_skeleton(mdl: SncdModel):
     flagged = [s.id for s in mdl.strata if s.touches_pole]
     if flagged:
         raise DomainError(
-            f"form has poles along strata {sorted(flagged)}; weights are "
+            f"form has poles along strata {_ids(flagged)}; weights are "
             f"unbounded below and no minimum exists"
         )
     if not mdl.components:

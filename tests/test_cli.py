@@ -214,6 +214,24 @@ def test_a_bending_denominator_is_a_pole(tmp_path, capsys):
     assert run(capsys, "classify", p, "--stratum", "e_A_B") == (0, "convex\n", "")
 
 
+def test_a_long_poles_error_is_one_short_line(tmp_path):
+    # every stratum of a 300-cycle is a pole: the line names three and counts the rest
+    model = sk.cycle_model(sk.KIND_SNCD, 1, [(f"C{i}", f"C{i}", 1, 1) for i in range(300)])
+    form = tmp_path / "poles.json"
+    form.write_text(json.dumps({"m": 1, "mu": {c.id: 1 for c in model.components},
+                                "touches_pole": {s.id: True for s in model.strata}}))
+    plain, poles = str(tmp_path / "plain.model"), str(tmp_path / "poles.model")
+    sk.save_model(model, plain)
+    sk.save_model(model.replace(strata=tuple(
+        dataclasses.replace(s, touches_pole=True) for s in model.strata)), poles)
+    for argv in (["ks", plain, "--form", str(form)], ["essential", plain, "--form", str(form)],
+                 ["ks", poles]):
+        assert run_cli(argv) == (
+            1, "", "error: form has poles along strata ['e_C0_C1', 'e_C100_C101', "
+            "'e_C101_C102'] and 597 more; weights are unbounded below and no minimum exists\n"
+        ), argv
+
+
 def test_blowup_requires_a_center(capsys):
     code, _, err = run(capsys, "blowup", path("edge_23"))
     assert code == 1 and "needs" in err

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import skelkit as sk
 from conftest import (
     KODAIRA_NAMES, load_bundled, random_complex_model, random_graph_model, random_point,
+    random_simplex_model,
 )
 
 
@@ -62,6 +63,21 @@ def _step(rng, model):
     return lambda mdl: (*sk.reduce_to_divisorial(mdl, x)[::2], None)
 
 
+def _expansion_simplex(rng):
+    """A full simplex with expansion data on its top cell, in a dimension that
+    leaves room for a point center through the whole cell half the time."""
+    model = random_simplex_model(rng, expansion=True)
+    return model.replace(ambient_dim=model.ambient_dim + rng.randint(0, 1))
+
+
+def _any_model(rng):
+    """A bundled Kodaira fiber, a random graph or complex, or an expansion simplex."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        return load_bundled(rng.choice(KODAIRA_NAMES))
+    return (random_graph_model, random_complex_model, _expansion_simplex)[pick - 1](rng)
+
+
 def _pieces(model, sub):
     return len(sk.connected_components(model, sorted(sub.strata)))
 
@@ -92,6 +108,13 @@ def test_blowups_keep_the_skeleton_of_random_models(rng):
     build = random_graph_model if rng.random() < 0.5 else random_complex_model
     model = _tied(rng, build(rng))
     assert_steps_keep_the_skeleton(rng, model, rng.randint(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_blowups_keep_the_skeleton_of_expansion_simplices(rng):
+    # each step pulls the top cell's expansion back onto the strata it adds
+    assert_steps_keep_the_skeleton(rng, _expansion_simplex(rng), rng.randint(1, 4))
 
 
 @pytest.mark.parametrize("name", KODAIRA_NAMES)
@@ -159,11 +182,7 @@ def test_weight_ascends_off_the_skeleton(rng):
     weight at its image in the old one, and more by exactly alpha_e * m *
     (codim - |J|) over a point center; a reduction, mapped back through its
     composed trace in one go, keeps it."""
-    pick = rng.randrange(3)
-    if pick == 0:
-        model = load_bundled(rng.choice(KODAIRA_NAMES))
-    else:
-        model = random_graph_model(rng) if pick == 1 else random_complex_model(rng)
+    model = _any_model(rng)
     for _ in range(rng.randint(1, 3)):
         out, trace, _ = _step(rng, model)(model)
         for s in out.strata:
@@ -189,11 +208,7 @@ def test_weight_jumps_only_over_the_point_center(rng):
     composed into one trace and mapped back in one go: the weight jumps by m *
     (codim - |J|) times the order of the point center's exceptional divisor,
     so exactly on the strata with a vertex descending from that divisor."""
-    pick = rng.randrange(3)
-    if pick == 0:
-        model = load_bundled(rng.choice(KODAIRA_NAMES))
-    else:
-        model = random_graph_model(rng) if pick == 1 else random_complex_model(rng)
+    model = _any_model(rng)
     s = rng.choice([s for s in model.strata if sk.is_maximal(model, s.id)])
     J = tuple(rng.sample(s.vertices, rng.randint(1, min(s.r, model.ambient_dim - 1))))
     codim = rng.randint(len(J) + 1, model.ambient_dim)

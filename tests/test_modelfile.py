@@ -212,3 +212,17 @@ def _package_imports(path):
 def test_the_file_layer_imports_no_skeleton_layer():
     source = Path(__file__).resolve().parents[1] / "src" / "skelkit" / "modelfile.py"
     assert _package_imports(source) <= {"errors", "model", "series"}
+
+
+_RANKS = {
+    "errors": 0, "series": 1, "model": 2, "skeleton": 3, "modelfile": 3, "complexes": 3,
+    "modify": 4, "essential": 4, "birational": 5, "cli": 6,
+}
+
+
+def test_each_module_imports_only_lower_ranks():
+    package = Path(__file__).resolve().parents[1] / "src" / "skelkit"
+    assert {p.stem for p in package.glob("*.py")} == {*_RANKS, "__init__"}
+    for name, rank in _RANKS.items():
+        above = {m for m in _package_imports(package / f"{name}.py") if _RANKS[m] >= rank}
+        assert not above, (name, above)

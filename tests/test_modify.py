@@ -12,11 +12,11 @@ import skelkit as sk
 import subdivide_oracle
 import transfer_oracle
 from skelkit.model import _Complex
-from skelkit.modify import (
-    _apply_step, _exc_ids, _reduction_length, _scaled, _subdivide, _transform_support,
-)
+from skelkit.modify import _apply_step, _exc_ids, _reduction_length, _scaled, _subdivide
+from skelkit.series import _lift
 from conftest import (
     KODAIRA_NAMES, load_bundled, random_complex_model, random_graph_model, random_point,
+    random_simplex_model,
 )
 
 
@@ -337,31 +337,12 @@ def test_reduction_length_counts_the_blowups(rng):
     assert _reduction_length(x.alpha) == len(trace.steps)
 
 
-def _simplex_model(rng, expansion=False):
-    """A full simplex on 2-4 components, with expansion data on its top cell half
-    the time, or always if asked."""
-    r, m = rng.randint(2, 4), rng.randint(1, 2)
-    names = "ABCD"[:r]
-    comps = [(v, v, rng.randint(1, 4), rng.randint(m, m + 3)) for v in names]
-    model = sk.full_complex_model(sk.KIND_SNCD, m, comps, [list(names)])
-    if not expansion and rng.random() < 0.5:
-        return model
-    # per-vertex minima mu - m, as validate requires, with no single minimal monomial
-    top = max(model.strata, key=lambda s: s.r)
-    base = [mu - m for *_, mu in comps]
-    num = frozenset(tuple(b + (i == j) for j, b in enumerate(base)) for i in range(r))
-    pair = sk.SeriesPair(sk.Support(top.id, top.vertices, num),
-                         sk.Support(top.id, top.vertices, frozenset({(0,) * r})))
-    return model.replace(strata=tuple(
-        dataclasses.replace(s, horizontal=pair) if s is top else s for s in model.strata))
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_the_weight_jumps_over_a_point_center_on_expansion_simplices(rng):
     # a point x of the cone over the top cell lies over the cell's point with
     # coordinates x_j + x_e; the weight there is lower by m * x_e * (codim - r)
-    model = _simplex_model(rng, expansion=True)
+    model = random_simplex_model(rng, expansion=True)
     top = max(model.strata, key=lambda s: s.r)
     model = model.replace(ambient_dim=top.r + rng.randint(1, 2))
     codim = rng.randint(top.r + 1, model.ambient_dim)
@@ -387,7 +368,7 @@ def test_reduction_and_transfer_match_the_fraction_replay(rng):
     if pick == 0:
         model = load_bundled(rng.choice(KODAIRA_WITH_EDGES))
     else:
-        model = (random_graph_model, random_complex_model, _simplex_model)[pick - 1](rng)
+        model = (random_graph_model, random_complex_model, random_simplex_model)[pick - 1](rng)
     assert sk.validate(model).ok
     cell = rng.choice([s.id for s in model.strata if s.r >= 2])
     x = random_point(rng, model, cell, max_part=rng.choice([9, 60, 400]))
@@ -437,7 +418,7 @@ def test_subdivide_matches_the_face_walk_reference(rng):
     if pick == 0:
         model = load_bundled(rng.choice(KODAIRA_WITH_EDGES))
     else:
-        model = (random_graph_model, random_complex_model, _simplex_model)[pick - 1](rng)
+        model = (random_graph_model, random_complex_model, random_simplex_model)[pick - 1](rng)
     if rng.random() < 0.5:
         model = _with_taken_names(rng, model)
     assert sk.validate(model).ok
@@ -512,12 +493,22 @@ def test_transform_support_is_the_reduced_lift(rng):
               for v in new_vertices)
         for beta in exponents
     }
-    got = _transform_support(
-        sk.Support("t", vertices, exponents), center, new_vertices, "e", "u", jacobian)
+    got = _lift(sk.Support("t", vertices, exponents), "u", new_vertices,
+                [pos[j] for j in center], [pos[v] for v in new_vertices[1:]], jacobian)
     assert got == sk.reduce_support(sk.Support("u", new_vertices, lifted))
     assert got.exponents == {
         b for b in lifted if not any(o != b and all(p <= q for p, q in zip(o, b)) for o in lifted)
     }
+
+
+def test_transfer_point_rejects_a_trace_of_another_model():
+    def edge(a, b):
+        return sk.graph_model(sk.KIND_SNCD, 1, 2, [(a, a, 1, 1), (b, b, 1, 1)], [("e", a, b)])
+
+    out, _, trace = sk.blowup_stratum(edge("A", "B"), "e")
+    x = sk.SkeletonPoint("e", {"C": F(1, 2), "D": F(1, 2)})
+    with pytest.raises(sk.DomainError, match="trace does not start at the given source model"):
+        sk.transfer_point(edge("C", "D"), out, trace, x)
 
 
 def test_trace_serializes_to_json(bundled):
