@@ -26,7 +26,7 @@ from math import lcm
 
 from .errors import DomainError, UnsupportedCenterError, _echo
 from .model import SncdModel, Stratum, _Complex, cofaces, face, is_maximal
-from .series import SeriesPair, _lift
+from .series import _pullback
 from .skeleton import SkeletonPoint, _weight_on, check_point, value_on_component
 
 
@@ -128,7 +128,9 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupS
     sigma's faces on every subset A of J, J included, is glued on.  The
     subsets are listed once per step, and each face on A + L is read by
     walking the dropped vertices J - A through the working complex's face
-    maps: the walk `face` makes, without its argument checks.
+    maps: the walk `face` makes, without its argument checks.  A coface's
+    expansion, checked once to lie on tau's vertices, is pulled back by
+    one `_pullback` per coface, projected once per new stratum.
     """
     sigma = model.stratum(sigma_id)
     if codim < 2:
@@ -166,8 +168,10 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupS
         tau, mine = strata[tid], replacements[tid]
         L = tuple(v for v in tau.vertices if v not in J)
         if (h := tau.horizontal) is not None:  # positions in the expansion's vertex order
+            if sorted(h.num.vertices) != sorted(tau.vertices):
+                raise DomainError(f"stratum {tid!r} has its expansion on other vertices")
             at = {v: i for i, v in enumerate(h.num.vertices)}
-            center_at = [at[j] for j in J]
+            pullback = _pullback(h, [at[j] for j in J], jacobian)
         for A, facets, drop in table:
             new_id = mine[A]
             fm: dict[str, str] = {}
@@ -180,11 +184,8 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupS
                     fm[a] = mine[rest]
                 for l in L:
                     fm[l] = replacements[tau.face_map[l]][A]
-            verts, pair = vertices_of[new_id], None
-            if h is not None:
-                keep_at = [at[v] for v in verts[1:]]
-                pair = SeriesPair(_lift(h.num, new_id, verts, center_at, keep_at, jacobian),
-                                  _lift(h.den, new_id, verts, center_at, keep_at, 0))
+            verts = vertices_of[new_id]
+            pair = None if h is None else pullback(new_id, verts, [at[v] for v in verts[1:]])
             new_strata.append(Stratum(new_id, verts, fm, tau.touches_zero, tau.touches_pole, pair))
 
     mu_e = _weight_on(model, sigma, dict.fromkeys(J, 1)) + model.m * (codim - len(J))

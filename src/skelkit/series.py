@@ -4,14 +4,17 @@ A series in the local coordinates of a stratum is tracked only through
 its support, a finite set of exponent vectors in Z^r with nonnegative
 entries.  The monomial valuation attached to a weight tuple alpha
 is the minimum of the linear form alpha . beta over the support, which
-only depends on the dominance-minimal exponents.  A blow-up pulls each
-support back onto the new strata over its center.
+only depends on the dominance-minimal exponents.  A blow-up pulls an
+expansion back with the center sums taken once per coface (`_pullback`),
+then per new stratum a projection into records built without checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from operator import le
 
 from .errors import DomainError
 
@@ -130,23 +133,48 @@ def _antichain(exponents) -> frozenset[tuple[int, ...]]:
 
     A vector below another precedes it lexicographically, and being
     below is transitive, so each vector in sorted order is checked
-    against the ones kept before it only.
+    against the ones kept before it only.  Repeated vectors count once.
     """
+    if len(exponents) < 2:
+        return frozenset(exponents)
     kept: list[tuple[int, ...]] = []
     for beta in sorted(exponents):
-        if not any(all(a <= b for a, b in zip(low, beta)) for low in kept):
+        for low in kept:
+            if all(map(le, low, beta)):
+                break
+        else:
             kept.append(beta)
     return frozenset(kept)
 
 
+_new, _set, _zeros = object.__new__, object.__setattr__, cache(lambda n: frozenset([(0,) * n]))
 
-def _lift(s: Support, stratum: str, vertices, center_at, keep_at, shift: int) -> Support:
-    """Pull a support back through a blow-up onto a new stratum on `vertices`.
 
-    Each beta becomes (sum of beta at center_at, plus shift) for the first,
-    exceptional vertex, then beta at keep_at for the rest; the other
-    coordinates become units.  Dominated vectors go, as in reduce_support.
+def _pullback(h: SeriesPair, center_at, shift: int):
+    """Pull an expansion back through a blow-up: a map from a new stratum to its pair.
+
+    An exponent beta becomes (its sum at center_at, plus shift on num) at the
+    first, exceptional vertex, then beta at keep_at.  The sums are taken once
+    per call; a stratum projects, drops dominated vectors, and builds unchecked
+    records: entries are checked ints plus shift, num and den share vertices.
     """
-    lifted = {(sum(beta[p] for p in center_at) + shift, *(beta[p] for p in keep_at))
-              for beta in s.exponents}
-    return Support(stratum, vertices, _antichain(lifted))
+    num = [(sum([beta[p] for p in center_at]) + shift, beta) for beta in h.num.exponents]
+    den = None if h.den.exponents == _zeros(len(h.den.vertices)) else [  # None: all zero, shared
+        (sum([beta[p] for p in center_at]), beta) for beta in h.den.exponents]
+
+    def onto(stratum: str, vertices: tuple[str, ...], keep_at) -> SeriesPair:
+        if len(keep_at) + 1 != len(vertices):
+            raise DomainError(f"a pullback onto {stratum!r} needs a position per kept vertex")
+        pair, n, d = _new(SeriesPair), _new(Support), _new(Support)
+        _set(n, "exponents", _antichain([(c, *[beta[p] for p in keep_at]) for c, beta in num]))
+        _set(d, "exponents", _zeros(len(vertices)) if den is None else
+             _antichain([(c, *[beta[p] for p in keep_at]) for c, beta in den]))
+        _set(n, "stratum", stratum)
+        _set(n, "vertices", vertices)
+        _set(d, "stratum", stratum)
+        _set(d, "vertices", vertices)
+        _set(pair, "num", n)
+        _set(pair, "den", d)
+        return pair
+
+    return onto

@@ -24,12 +24,13 @@ from skelkit.model import (
     PrimeComponent, SncdModel, Stratum, _Complex, cofaces, face, is_maximal,
 )
 from skelkit.modify import BlowupStep, BlowupTrace, _exc_ids, _new_trace, blowup_stratum
-from skelkit.series import SeriesPair, Support, _antichain
+from skelkit.series import SeriesPair, Support
 
 # Complex and the functions below are the earlier code, unchanged but for
 # the class name; their annotations name skelkit's working complex, and
 # they run on Complex as well.  `_subsets` and `_exceptional_mu` are the
-# earlier module's helpers, which the merged kernel no longer has.
+# earlier module's helpers, which the merged kernel no longer has, and
+# `_antichain` is the earlier `skelkit.series._antichain`.
 
 
 class Complex:
@@ -117,6 +118,20 @@ def _exceptional_mu(model: _Complex, sigma: Stratum) -> int:
     lo_num = min(sum(beta) for beta in sigma.horizontal.num.exponents)
     lo_den = min(sum(beta) for beta in sigma.horizontal.den.exponents)
     return model.m * r + lo_num - lo_den
+
+
+def _antichain(exponents) -> frozenset[tuple[int, ...]]:
+    """The exponent vectors of a set that no other vector of it is coordinatewise below.
+
+    A vector below another precedes it lexicographically, and being
+    below is transitive, so each vector in sorted order is checked
+    against the ones kept before it only.
+    """
+    kept: list[tuple[int, ...]] = []
+    for beta in sorted(exponents):
+        if not any(all(a <= b for a, b in zip(low, beta)) for low in kept):
+            kept.append(beta)
+    return frozenset(kept)
 
 
 def _transform_support(

@@ -13,7 +13,7 @@ import subdivide_oracle
 import transfer_oracle
 from skelkit.model import _Complex
 from skelkit.modify import _apply_step, _exc_ids, _reduction_length, _scaled, _subdivide
-from skelkit.series import _lift
+from skelkit.series import _antichain, _pullback
 from conftest import (
     KODAIRA_NAMES, load_bundled, random_complex_model, random_graph_model, random_point,
     random_simplex_model,
@@ -409,19 +409,20 @@ def _with_taken_names(rng, model):
     return model.replace(strata=tuple(strata))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_subdivide_matches_the_face_walk_reference(rng):
-    # reductions of random points and blow-ups of random maximal strata, step by
-    # step, on a working complex each: equal steps, models and coface indexes
-    pick = rng.randrange(4)
-    if pick == 0:
-        model = load_bundled(rng.choice(KODAIRA_WITH_EDGES))
-    else:
-        model = (random_graph_model, random_complex_model, random_simplex_model)[pick - 1](rng)
-    if rng.random() < 0.5:
-        model = _with_taken_names(rng, model)
-    assert sk.validate(model).ok
+def _assert_pulled_back_records_are_checked(model):
+    # the kernel builds pulled-back records unchecked; each must equal, and hash
+    # like, the one the checking constructors build from the same fields
+    for s in model._strata_by_id.values():
+        if (h := s.horizontal) is not None:
+            checked = sk.SeriesPair(*(sk.Support(f.stratum, f.vertices, f.exponents)
+                                      for f in (h.num, h.den)))
+            assert h == checked and hash(h) == hash(checked)
+            assert sorted(h.num.vertices) == sorted(s.vertices)
+
+
+def _assert_kernel_matches_the_reference(rng, model):
+    """Reductions of random points and blow-ups of random maximal strata, step by
+    step, on a working complex each: equal steps, models and coface indexes."""
     work, ref = _Complex(model), subdivide_oracle.Complex(model)
     exc_ids = _exc_ids(work)
 
@@ -431,6 +432,7 @@ def test_subdivide_matches_the_face_walk_reference(rng):
         assert got == subdivide_oracle._subdivide(ref, sigma_id, e_id)
         assert sk.serialize_model(work.freeze()) == sk.serialize_model(ref.freeze())
         assert work._coface_index == ref._coface_index
+        _assert_pulled_back_records_are_checked(work)
         return got
 
     for _ in range(rng.randint(1, 3)):
@@ -444,6 +446,149 @@ def test_subdivide_matches_the_face_walk_reference(rng):
         else:
             step(rng.choice([s.id for s in frozen.strata
                              if s.r >= 2 and sk.is_maximal(frozen, s.id)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_subdivide_matches_the_face_walk_reference(rng):
+    pick = rng.randrange(4)
+    if pick == 0:
+        model = load_bundled(rng.choice(KODAIRA_WITH_EDGES))
+    else:
+        model = (random_graph_model, random_complex_model, random_simplex_model)[pick - 1](rng)
+    if rng.random() < 0.5:
+        model = _with_taken_names(rng, model)
+    assert sk.validate(model).ok
+    _assert_kernel_matches_the_reference(rng, model)
+
+
+def _simplex_with_a_general_den(rng):
+    """A valid full simplex whose top cell's den has 2-4 exponents, two of them
+    nonzero and incomparable, and whose num has its per-vertex minima at den's
+    plus mu - m."""
+    r, m = rng.randint(2, 4), rng.randint(1, 2)
+    names = "ABCD"[:r]
+    comps = [(v, v, rng.randint(1, 4), rng.randint(m, m + 3)) for v in names]
+    model = sk.full_complex_model(sk.KIND_SNCD, m, comps, [list(names)])
+    top = max(model.strata, key=lambda s: s.r)
+    low, i = [rng.randint(1, 3) for _ in names], rng.randrange(r)
+    den = {tuple(d + (j == k) for j, d in enumerate(low)) for k in (i, (i + 1) % r)}
+    den |= {tuple(rng.randint(0, 3) for _ in names) for _ in range(rng.randint(0, 2))}
+    base = [min(d[j] for d in den) + mu - m for j, (*_, mu) in enumerate(comps)]
+    num = {tuple(b + (i == j) for j, b in enumerate(base)) for i in range(r)}
+    num |= {tuple(b + rng.randint(0, 3) for b in base) for _ in range(rng.randint(0, 3))}
+    pair = sk.SeriesPair(sk.Support(top.id, top.vertices, frozenset(num)),
+                         sk.Support(top.id, top.vertices, frozenset(den)))
+    return model.replace(strata=tuple(
+        dataclasses.replace(s, horizontal=pair) if s is top else s for s in model.strata))
+
+
+def _permuted_expansions(rng, model):
+    """The model with each expansion written in a shuffled vertex order."""
+    strata = []
+    for s in model.strata:
+        h = s.horizontal
+        if h is not None:
+            order = rng.sample(range(s.r), s.r)
+
+            def shuffled(f):
+                return sk.Support(f.stratum, tuple(f.vertices[i] for i in order),
+                                  frozenset(tuple(b[i] for i in order) for b in f.exponents))
+
+            h = sk.SeriesPair(shuffled(h.num), shuffled(h.den))
+        strata.append(dataclasses.replace(s, horizontal=h))
+    return model.replace(strata=tuple(strata))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_the_kernel_pulls_back_a_general_den_as_the_reference_does(rng):
+    # every den the other draws make is all zero; here den has several
+    # exponents, and half the expansions are written in a permuted order
+    model = _simplex_with_a_general_den(rng)
+    assert sk.validate(model).ok
+    if rng.random() < 0.5:
+        model = _permuted_expansions(rng, model)
+    _assert_kernel_matches_the_reference(rng, model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=12)))
+def test_antichain_matches_the_earlier_antichain(exponents):
+    # repeated vectors included; both as drawn and as a set
+    exponents += exponents[: len(exponents) // 2]
+    for given_as in (exponents, frozenset(exponents)):
+        assert _antichain(given_as) == subdivide_oracle._antichain(given_as)
+
+
+def _expansion_edge(vertices, exponent):
+    pair = sk.SeriesPair(sk.Support("e", vertices, frozenset({exponent})),
+                         sk.Support("e", vertices, frozenset({(0,) * len(vertices)})))
+    m = sk.graph_model(sk.KIND_SNCD, 1, 3, [("A", "A", 1, 1), ("B", "B", 1, 1)],
+                       [("e", "A", "B")])
+    return m.replace(strata=tuple(
+        dataclasses.replace(s, horizontal=pair) if s.id == "e" else s for s in m.strata))
+
+
+@pytest.mark.parametrize("vertices, exponent", [
+    (("A", "B", "C"), (0, 0, 1)), (("A",), (1,)), (("A", "A"), (1, 0)),
+])
+def test_an_expansion_on_other_vertices_is_a_domain_error(vertices, exponent):
+    m = _expansion_edge(vertices, exponent)
+    x = sk.SkeletonPoint("e", {"A": F(5, 7), "B": F(2, 7)})
+    for call in (lambda: sk.blowup_stratum(m, "e"),
+                 lambda: sk.blowup_point(m, "e", ("A", "B"), 3),
+                 lambda: sk.reduce_to_divisorial(m, x)):
+        with pytest.raises(sk.DomainError, match="stratum 'e' has its expansion on other vertices"):
+            call()
+
+
+def test_an_expansion_in_a_permuted_order_is_pulled_back():
+    # the same expansion written on (B, A) instead of (A, B) gives the same models
+    m, p = _expansion_edge(("A", "B"), (2, 1)), _expansion_edge(("B", "A"), (1, 2))
+    x = sk.SkeletonPoint("e", {"A": F(5, 7), "B": F(2, 7)})
+    for call in (lambda n: sk.blowup_stratum(n, "e"),
+                 lambda n: sk.blowup_point(n, "e", ("A", "B"), 3),
+                 lambda n: sk.reduce_to_divisorial(n, x)):
+        (out, e, _), (alt, e_alt, _) = call(m), call(p)
+        assert e == e_alt and out.components == alt.components
+        for s in out.strata:
+            h, g = s.horizontal, alt.stratum(s.id).horizontal
+            assert (h is None) == (g is None)
+            if h is not None:
+                pos = [g.num.vertices.index(v) for v in h.num.vertices]
+                for f, k in ((h.num, g.num), (h.den, g.den)):
+                    assert f.exponents == {tuple(b[i] for i in pos) for b in k.exponents}
+
+
+def test_reduction_builds_no_checked_support(monkeypatch):
+    # pulled-back records hold their invariants by construction, so a long
+    # reduction through an expansion triangle runs no Support or SeriesPair check
+    comps = [("A", "A", 2, 2), ("B", "B", 1, 2), ("C", "C", 2, 3)]
+    m = sk.full_complex_model(sk.KIND_SNCD, 1, comps, [["A", "B", "C"]])
+    num = frozenset({(2, 1, 2), (1, 2, 2), (1, 1, 3)})
+    pair = sk.SeriesPair(sk.Support("s_A_B_C", ("A", "B", "C"), num),
+                         sk.Support("s_A_B_C", ("A", "B", "C"), frozenset({(0, 0, 0)})))
+    m = m.replace(strata=tuple(
+        dataclasses.replace(s, horizontal=pair) if s.id == "s_A_B_C" else s
+        for s in m.strata))
+    assert sk.validate(m).ok
+    total = 2 * 1 + 1 * 7 + 2 * 150
+    x = sk.SkeletonPoint("s_A_B_C", {"A": F(1, total), "B": F(7, total), "C": F(150, total)})
+    calls = []
+    for record in (sk.Support, sk.SeriesPair):
+        check = record.__post_init__
+
+        def counted(self, check=check):
+            calls.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(record, "__post_init__", counted)
+    final, _, trace = sk.reduce_to_divisorial(m, x)
+    assert len(trace.steps) >= 100
+    assert sum(s.horizontal is not None for s in final.strata) >= 100
+    assert calls == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -477,10 +622,17 @@ def test_blowup_point_matches_the_cone_builder_reference(rng):
 @settings(max_examples=300, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_transform_support_is_the_reduced_lift(rng):
+    # num and den, the den all zero a third of the time, each pulled back onto
+    # a new stratum equal to the brute-force lift, reduced, checked when built
     vertices = tuple(rng.sample("ABCD", rng.randint(2, 4)))
-    exponents = frozenset(
-        tuple(rng.randint(0, 4) for _ in vertices) for _ in range(rng.randint(1, 8))
-    )
+
+    def draw():
+        return frozenset(
+            tuple(rng.randint(0, 4) for _ in vertices) for _ in range(rng.randint(1, 8))
+        )
+
+    num = draw()
+    den = frozenset({(0,) * len(vertices)}) if rng.random() < 1 / 3 else draw()
     chosen = rng.sample(vertices, rng.randint(2, len(vertices)))
     center = tuple(v for v in vertices if v in chosen)
     kept = set(rng.sample(center, rng.randint(0, len(center) - 1)))
@@ -488,17 +640,25 @@ def test_transform_support_is_the_reduced_lift(rng):
     new_vertices = ("e",) + tuple(v for v in vertices if v in kept)
     jacobian = rng.randint(0, 6)
     pos = {v: i for i, v in enumerate(vertices)}
-    lifted = {
-        tuple(sum(beta[pos[j]] for j in center) + jacobian if v == "e" else beta[pos[v]]
-              for v in new_vertices)
-        for beta in exponents
-    }
-    got = _lift(sk.Support("t", vertices, exponents), "u", new_vertices,
-                [pos[j] for j in center], [pos[v] for v in new_vertices[1:]], jacobian)
-    assert got == sk.reduce_support(sk.Support("u", new_vertices, lifted))
-    assert got.exponents == {
-        b for b in lifted if not any(o != b and all(p <= q for p, q in zip(o, b)) for o in lifted)
-    }
+
+    def lift(exponents, shift):
+        return {
+            tuple(sum(beta[pos[j]] for j in center) + shift if v == "e" else beta[pos[v]]
+                  for v in new_vertices)
+            for beta in exponents
+        }
+
+    pair = sk.SeriesPair(sk.Support("t", vertices, num), sk.Support("t", vertices, den))
+    got = _pullback(pair, [pos[j] for j in center], jacobian)(
+        "u", new_vertices, [pos[v] for v in new_vertices[1:]])
+    for side, exponents, shift in ((got.num, num, jacobian), (got.den, den, 0)):
+        lifted = lift(exponents, shift)
+        assert side == sk.reduce_support(sk.Support("u", new_vertices, lifted))
+        assert side.exponents == {
+            b for b in lifted
+            if not any(o != b and all(p <= q for p, q in zip(o, b)) for o in lifted)
+        }
+    assert got == sk.SeriesPair(got.num, got.den)
 
 
 def test_transfer_point_rejects_a_trace_of_another_model():
