@@ -522,13 +522,17 @@ def test_antichain_matches_the_earlier_antichain(exponents):
         assert _antichain(given_as) == subdivide_oracle._antichain(given_as)
 
 
+def _with_expansion(m, sid, vertices, exponent):
+    pair = sk.SeriesPair(sk.Support(sid, vertices, frozenset({exponent})),
+                         sk.Support(sid, vertices, frozenset({(0,) * len(vertices)})))
+    return m.replace(strata=tuple(
+        dataclasses.replace(s, horizontal=pair) if s.id == sid else s for s in m.strata))
+
+
 def _expansion_edge(vertices, exponent):
-    pair = sk.SeriesPair(sk.Support("e", vertices, frozenset({exponent})),
-                         sk.Support("e", vertices, frozenset({(0,) * len(vertices)})))
     m = sk.graph_model(sk.KIND_SNCD, 1, 3, [("A", "A", 1, 1), ("B", "B", 1, 1)],
                        [("e", "A", "B")])
-    return m.replace(strata=tuple(
-        dataclasses.replace(s, horizontal=pair) if s.id == "e" else s for s in m.strata))
+    return _with_expansion(m, "e", vertices, exponent)
 
 
 @pytest.mark.parametrize("vertices, exponent", [
@@ -542,6 +546,16 @@ def test_an_expansion_on_other_vertices_is_a_domain_error(vertices, exponent):
                  lambda: sk.reduce_to_divisorial(m, x)):
         with pytest.raises(sk.DomainError, match="stratum 'e' has its expansion on other vertices"):
             call()
+
+
+def test_an_expansion_on_other_vertices_of_a_coface_is_a_domain_error():
+    # reducing a point on an edge blows the edge up and subdivides the triangle
+    # above it, so an extra vertex D on the triangle's expansion is refused, not dropped
+    x = sk.SkeletonPoint("s_A_B", {"A": F(1, 3), "B": F(1, 3)})
+    sk.reduce_to_divisorial(_with_expansion(triangle(), "s_A_B_C", ("C", "B", "A"), (1, 0, 0)), x)
+    m = _with_expansion(triangle(), "s_A_B_C", ("A", "B", "C", "D"), (0, 0, 0, 1))
+    with pytest.raises(sk.DomainError, match="stratum 's_A_B_C' has its expansion on other vertices"):
+        sk.reduce_to_divisorial(m, x)
 
 
 def test_an_expansion_in_a_permuted_order_is_pulled_back():
