@@ -108,7 +108,7 @@ def cmd_blowup(model: SncdModel, args) -> int:
         out, e_id, _ = modify.blowup_stratum(model, args.stratum)
     elif args.point:
         stratum_id, center_text, codim_text = args.point
-        center = tuple(c for c in center_text.split(",") if c)
+        center = tuple(center_text.split(","))  # an empty entry is kept, and refused
         try:
             codim = int(codim_text)
         except ValueError:

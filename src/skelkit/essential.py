@@ -10,10 +10,10 @@ no modification can shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import Record, _set
 from .errors import DomainError, _ids
 from .model import (
     FormData, PrimeComponent, SncdModel, Stratum, ValidationReport, Violation,
@@ -22,11 +22,13 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class Subcomplex:
+class Subcomplex(Record):
     """A face-closed set of strata of a fixed model."""
 
-    strata: frozenset[str]
+    __slots__ = ("strata",)
+
+    def __init__(self, strata: frozenset[str]):
+        _set(self, "strata", strata)
 
     @property
     def empty(self) -> bool:

@@ -15,11 +15,11 @@ derived quantity downstream is a `fractions.Fraction`.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
+from ._record import Record, _set
 from .errors import DomainError, _echo
 from .series import SeriesPair, _antichain
 
@@ -30,8 +30,7 @@ KNOWN_KINDS = (KIND_SNCD, KIND_LOG_RESOLUTION)
 _by_id = attrgetter("id")
 
 
-@dataclass(frozen=True)
-class PrimeComponent:
+class PrimeComponent(Record):
     """A prime component of the special fiber (or of the pulled-back divisor).
 
     N is the multiplicity of the component (positive), mu the integer
@@ -39,14 +38,16 @@ class PrimeComponent:
     component in the divisor of the tracked pluricanonical form.
     """
 
-    id: str
-    name: str
-    N: int
-    mu: int
+    __slots__ = ("id", "name", "N", "mu")
+
+    def __init__(self, id: str, name: str, N: int, mu: int):
+        _set(self, "id", id)
+        _set(self, "name", name)
+        _set(self, "N", N)
+        _set(self, "mu", mu)
 
 
-@dataclass(frozen=True, eq=True)
-class Stratum:
+class Stratum(Record):
     """A connected component of an intersection of prime components.
 
     vertices lists the component ids whose intersection this stratum
@@ -56,20 +57,26 @@ class Stratum:
     stratum has two or more vertices.
     """
 
-    id: str
-    vertices: tuple[str, ...]
-    face_map: dict[str, str] = field(default_factory=dict)
-    touches_zero: bool = False
-    touches_pole: bool = False
-    horizontal: Optional[SeriesPair] = None
+    __slots__ = ("id", "vertices", "face_map", "touches_zero", "touches_pole", "horizontal")
+
+    def __init__(
+        self, id: str, vertices: tuple[str, ...], face_map: Optional[dict[str, str]] = None,
+        touches_zero: bool = False, touches_pole: bool = False,
+        horizontal: Optional[SeriesPair] = None,
+    ):
+        _set(self, "id", id)
+        _set(self, "vertices", vertices)
+        _set(self, "face_map", {} if face_map is None else face_map)
+        _set(self, "touches_zero", touches_zero)
+        _set(self, "touches_pole", touches_pole)
+        _set(self, "horizontal", horizontal)
 
     @property
     def r(self) -> int:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class FormData:
+class FormData(Record):
     """Weight data of one form overlaid on a model.
 
     mu must cover every component; flag maps may be partial (missing
@@ -79,26 +86,36 @@ class FormData:
     against a valid model.
     """
 
-    m: int
-    mu: dict[str, int]
-    touches_zero: dict[str, bool] = field(default_factory=dict)
-    touches_pole: dict[str, bool] = field(default_factory=dict)
+    __slots__ = ("m", "mu", "touches_zero", "touches_pole")
+
+    def __init__(
+        self, m: int, mu: dict[str, int], touches_zero: Optional[dict[str, bool]] = None,
+        touches_pole: Optional[dict[str, bool]] = None,
+    ):
+        _set(self, "m", m)
+        _set(self, "mu", mu)
+        _set(self, "touches_zero", {} if touches_zero is None else touches_zero)
+        _set(self, "touches_pole", {} if touches_pole is None else touches_pole)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One validation failure: a stable code plus a readable message."""
 
-    code: str
-    message: str
+    __slots__ = ("code", "message")
+
+    def __init__(self, code: str, message: str):
+        _set(self, "code", code)
+        _set(self, "message", message)
 
     def __str__(self):
         return f"{self.code}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -110,8 +127,7 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-@dataclass(frozen=True)
-class SncdModel:
+class SncdModel(Record):
     """The combinatorial shadow of an snc model.
 
     kind is "sncd-over-dvr" for models of a variety over a discretely
@@ -120,18 +136,21 @@ class SncdModel:
 
     Components and strata are stored sorted by id so that equal models
     compare equal and serialization is deterministic regardless of
-    construction order.
+    construction order.  The instance dict holds the lazy id maps and
+    coface index.
     """
 
-    kind: str
-    m: int
-    ambient_dim: int
-    components: tuple[PrimeComponent, ...]
-    strata: tuple[Stratum, ...]
+    __slots__ = ("kind", "m", "ambient_dim", "components", "strata", "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(sorted(self.components, key=_by_id)))
-        object.__setattr__(self, "strata", tuple(sorted(self.strata, key=_by_id)))
+    def __init__(
+        self, kind: str, m: int, ambient_dim: int,
+        components: tuple[PrimeComponent, ...], strata: tuple[Stratum, ...],
+    ):
+        _set(self, "kind", kind)
+        _set(self, "m", m)
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "components", tuple(sorted(components, key=_by_id)))
+        _set(self, "strata", tuple(sorted(strata, key=_by_id)))
 
     @cached_property
     def _components_by_id(self) -> dict[str, PrimeComponent]:
@@ -174,11 +193,6 @@ class SncdModel:
             if s.vertices == (comp_id,):
                 return s
         raise DomainError(f"no singleton stratum for component {comp_id!r}")
-
-    def replace(self, **changes) -> "SncdModel":
-        from dataclasses import replace as _replace
-
-        return _replace(self, **changes)
 
 
 def _bends(s: Stratum, flag: str) -> bool:

@@ -19,19 +19,18 @@ weight and its component valuations intact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
 from math import lcm
 
+from ._record import Record, _set
 from .errors import DomainError, UnsupportedCenterError, _echo
 from .model import SncdModel, Stratum, _Complex, cofaces, face, is_maximal
 from .series import _pullback
 from .skeleton import SkeletonPoint, _weight_on, check_point, value_on_component
 
 
-@dataclass(frozen=True)
-class BlowupStep:
+class BlowupStep(Record):
     """One blow-up: its center, the new vertex, and the stratum replacements.
 
     center_vertices are the vertices of center_stratum, the stratum whose
@@ -40,11 +39,17 @@ class BlowupStep:
     center, which removes no strata (replacements is then empty).
     """
 
-    center_stratum: str
-    center_vertices: tuple[str, ...]
-    codim: int
-    new_vertex: str
-    replacements: dict[str, dict[tuple[str, ...], str]] = field(default_factory=dict)
+    __slots__ = ("center_stratum", "center_vertices", "codim", "new_vertex", "replacements")
+
+    def __init__(
+        self, center_stratum: str, center_vertices: tuple[str, ...], codim: int,
+        new_vertex: str, replacements: dict[str, dict[tuple[str, ...], str]] | None = None,
+    ):
+        _set(self, "center_stratum", center_stratum)
+        _set(self, "center_vertices", center_vertices)
+        _set(self, "codim", codim)
+        _set(self, "new_vertex", new_vertex)
+        _set(self, "replacements", {} if replacements is None else replacements)
 
     def to_json(self):
         return {
@@ -59,16 +64,21 @@ class BlowupStep:
         }
 
 
-@dataclass
-class BlowupTrace:
+class BlowupTrace(Record):
     """Steps of a chain of blow-ups plus the pullback decomposition.
 
     pullback maps each component of the starting model to its
     multiplicity decomposition over the components of the final model.
     """
 
-    steps: list[BlowupStep] = field(default_factory=list)
-    pullback: dict[str, dict[str, int]] = field(default_factory=dict)
+    __slots__ = ("steps", "pullback")
+
+    def __init__(
+        self, steps: list[BlowupStep] | None = None,
+        pullback: dict[str, dict[str, int]] | None = None,
+    ):
+        _set(self, "steps", [] if steps is None else steps)
+        _set(self, "pullback", {} if pullback is None else pullback)
 
     def extend(self, step: BlowupStep):
         self.steps.append(step)

@@ -11,23 +11,20 @@ then per new stratum a projection into records built without checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import le
 
+from ._record import Record, _set
 from .errors import DomainError
 
 
-def _fraction_field(obj, name: str) -> dict:
-    """Replace a frozen dataclass's dict field by a copy with Fraction values."""
-    clean = {k: Fraction(a) for k, a in getattr(obj, name).items()}
-    object.__setattr__(obj, name, clean)
-    return clean
+def _fractions(values: dict) -> dict:
+    """A copy of a point's coordinates with Fraction values."""
+    return {k: Fraction(a) for k, a in values.items()}
 
 
-@dataclass(frozen=True)
-class Support:
+class Support(Record):
     """Exponent support of a series at a stratum.
 
     >>> s = Support("e", ("A", "B"), frozenset({(1, 0), (0, 2)}))
@@ -35,19 +32,16 @@ class Support:
     [(0, 2), (1, 0)]
     """
 
-    stratum: str
-    vertices: tuple[str, ...]
-    exponents: frozenset[tuple[int, ...]]
+    __slots__ = ("stratum", "vertices", "exponents")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(
-            self, "exponents", frozenset(tuple(b) for b in self.exponents)
-        )
-        if not self.exponents:
+    def __init__(
+        self, stratum: str, vertices: tuple[str, ...], exponents: frozenset[tuple[int, ...]]
+    ):
+        vertices, exponents = tuple(vertices), frozenset(tuple(b) for b in exponents)
+        if not exponents:
             raise DomainError("support must contain at least one exponent vector")
-        r = len(self.vertices)
-        for beta in self.exponents:
+        r = len(vertices)
+        for beta in exponents:
             if len(beta) != r:
                 raise DomainError(
                     f"exponent vector {beta} has length {len(beta)}, expected {r}"
@@ -57,40 +51,40 @@ class Support:
                     raise DomainError(
                         f"exponent vector {beta} has a non-integer or negative entry"
                     )
+        _set(self, "stratum", stratum)
+        _set(self, "vertices", vertices)
+        _set(self, "exponents", exponents)
 
 
-@dataclass(frozen=True)
-class SeriesPair:
+class SeriesPair(Record):
     """Numerator and denominator supports of a local expansion."""
 
-    num: Support
-    den: Support
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if (
-            self.num.stratum != self.den.stratum
-            or self.num.vertices != self.den.vertices
-        ):
+    def __init__(self, num: Support, den: Support):
+        if num.stratum != den.stratum or num.vertices != den.vertices:
             raise DomainError("numerator and denominator live on different strata")
+        _set(self, "num", num)
+        _set(self, "den", den)
 
 
-@dataclass(frozen=True)
-class AlphaVector:
+class AlphaVector(Record):
     """Nonnegative rational weights on the vertices of a stratum.
 
     At least one entry must be positive; entries may be zero (the
     valuation then ignores those coordinates).
     """
 
-    stratum: str
-    alpha: dict[str, Fraction]
+    __slots__ = ("stratum", "alpha")
 
-    def __post_init__(self):
-        clean = _fraction_field(self, "alpha")
-        if any(a < 0 for a in clean.values()):
+    def __init__(self, stratum: str, alpha: dict[str, Fraction]):
+        alpha = _fractions(alpha)
+        if any(a < 0 for a in alpha.values()):
             raise DomainError("alpha entries must be nonnegative")
-        if not any(a > 0 for a in clean.values()):
+        if not any(a > 0 for a in alpha.values()):
             raise DomainError("alpha must have at least one positive entry")
+        _set(self, "stratum", stratum)
+        _set(self, "alpha", alpha)
 
 
 def _check_match(s: Support, a: AlphaVector):
@@ -147,7 +141,7 @@ def _antichain(exponents) -> frozenset[tuple[int, ...]]:
     return frozenset(kept)
 
 
-_new, _set, _zeros = object.__new__, object.__setattr__, cache(lambda n: frozenset([(0,) * n]))
+_new, _zeros = object.__new__, cache(lambda n: frozenset([(0,) * n]))
 
 
 def _pullback(h: SeriesPair, center_at, shift: int):

@@ -16,12 +16,12 @@ the declared multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, _set
 from .errors import DomainError
 from .model import SncdModel, Stratum, _Complex, _bends, face
-from .series import AlphaVector, _check_match, _fraction_field, _order
+from .series import AlphaVector, _check_match, _fractions, _order
 
 CLASS_AFFINE = "affine"
 CLASS_CONCAVE = "concave"
@@ -33,19 +33,17 @@ CLASS_UNKNOWN = "unknown"
 SkeletonPoint = AlphaVector
 
 
-@dataclass(frozen=True)
-class BarycentricPoint:
+class BarycentricPoint(Record):
     """The same point in barycentric coordinates (positive, summing to 1)."""
 
-    stratum: str
-    w: dict[str, Fraction]
+    __slots__ = ("stratum", "w")
 
-    def __post_init__(self):
-        _fraction_field(self, "w")
+    def __init__(self, stratum: str, w: dict[str, Fraction]):
+        _set(self, "stratum", stratum)
+        _set(self, "w", _fractions(w))
 
 
-@dataclass(frozen=True)
-class PointSpec:
+class PointSpec(Record):
     """A point given by its reduction stratum and its values on the components.
 
     values records the valuation of each component through the center;
@@ -53,11 +51,11 @@ class PointSpec:
     spanned by the positive ones.
     """
 
-    center: str
-    values: dict[str, Fraction]
+    __slots__ = ("center", "values")
 
-    def __post_init__(self):
-        _fraction_field(self, "values")
+    def __init__(self, center: str, values: dict[str, Fraction]):
+        _set(self, "center", center)
+        _set(self, "values", _fractions(values))
 
 
 def _shown(q: Fraction) -> str:

@@ -119,6 +119,14 @@ def test_a_repeated_blowup_point_component_is_rejected():
     assert "'A,A' repeat a component" in err
 
 
+@pytest.mark.parametrize("center", ["A,,B", "A,B,", ",A", ""])
+def test_an_empty_blowup_point_component_is_rejected(center):
+    # an empty entry names no component; it is not dropped to leave {A, B}
+    code, out, err = run_cli(["blowup", path("edge_23"), "--point", "e_A_B", center, "2"])
+    assert (code, out) == (1, "") and len(err.splitlines()) == 1, err
+    assert f"center components {center!r} are not a nonempty subset" in err
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", path("edge_23"), "--stratum", "e_A_B")
     assert code == 0 and out == "affine\n"
@@ -653,7 +661,7 @@ def test_forms_are_read_without_an_overlay_or_validate(monkeypatch):
         for k in (1, 2, 3)
     ]
     expected = sk.essential_skeleton(model, forms)
-    built = _count_calls(monkeypatch, "__post_init__", sk.SncdModel)
+    built = _count_calls(monkeypatch, "__init__", sk.SncdModel)
     validated = _count_calls(monkeypatch, "validate", sk.model)
     fractions = _count_calls(monkeypatch, "Fraction", sk.essential)
     assert sk.essential_skeleton(model, forms) == expected

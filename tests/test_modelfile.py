@@ -215,8 +215,8 @@ def test_the_file_layer_imports_no_skeleton_layer():
 
 
 _RANKS = {
-    "errors": 0, "series": 1, "model": 2, "skeleton": 3, "modelfile": 3, "complexes": 3,
-    "modify": 4, "essential": 4, "birational": 5, "cli": 6,
+    "_record": 0, "errors": 0, "series": 1, "model": 2, "skeleton": 3, "modelfile": 3,
+    "complexes": 3, "modify": 4, "essential": 4, "birational": 5, "cli": 6,
 }
 
 

@@ -592,13 +592,13 @@ def test_reduction_builds_no_checked_support(monkeypatch):
     x = sk.SkeletonPoint("s_A_B_C", {"A": F(1, total), "B": F(7, total), "C": F(150, total)})
     calls = []
     for record in (sk.Support, sk.SeriesPair):
-        check = record.__post_init__
+        check = record.__init__
 
-        def counted(self, check=check):
+        def counted(self, *args, check=check, **kwargs):
             calls.append(type(self).__name__)
-            check(self)
+            check(self, *args, **kwargs)
 
-        monkeypatch.setattr(record, "__post_init__", counted)
+        monkeypatch.setattr(record, "__init__", counted)
     final, _, trace = sk.reduce_to_divisorial(m, x)
     assert len(trace.steps) >= 100
     assert sum(s.horizontal is not None for s in final.strata) >= 100
