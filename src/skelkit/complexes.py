@@ -39,11 +39,11 @@ def graph_model(
     strata = []
     for c in comps:
         tz, tp = flags.get(f"v_{c.id}", (False, False))
-        strata.append(Stratum(f"v_{c.id}", (c.id,), {}, tz, tp))
+        strata.append(Stratum(f"v_{c.id}", (c.id,), {}, tz, tp, None))
     for eid, a, b in edges:
         tz, tp = flags.get(eid, (False, False))
         strata.append(
-            Stratum(eid, (a, b), {a: f"v_{b}", b: f"v_{a}"}, tz, tp)
+            Stratum(eid, (a, b), {a: f"v_{b}", b: f"v_{a}"}, tz, tp, None)
         )
     return SncdModel(kind, m, ambient_dim, tuple(comps), tuple(strata))
 
@@ -85,7 +85,7 @@ def full_complex_model(
         fm = {}
         if len(sub) >= 2:
             fm = {v: sid(tuple(x for x in sub if x != v)) for v in sub}
-        strata.append(Stratum(sid(sub), sub, fm))
+        strata.append(Stratum(sid(sub), sub, fm, False, False, None))
     dim = ambient_dim if ambient_dim is not None else max(len(s) for s in subsets)
     return SncdModel(kind, m, dim, tuple(comps), tuple(strata))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import DomainError, _ids
 from .model import (
     FormData, PrimeComponent, SncdModel, Stratum, ValidationReport, Violation,
@@ -26,9 +26,6 @@ class Subcomplex(Record):
     """A face-closed set of strata of a fixed model."""
 
     __slots__ = ("strata",)
-
-    def __init__(self, strata: frozenset[str]):
-        _set(self, "strata", strata)
 
     @property
     def empty(self) -> bool:
@@ -81,7 +78,7 @@ def apply_form(model: SncdModel, form: FormData) -> SncdModel:
     zero, pole = form.touches_zero, form.touches_pole
     strata = tuple(
         Stratum(s.id, s.vertices, dict(s.face_map), zero.get(s.id, False),
-                pole.get(s.id, False))
+                pole.get(s.id, False), None)
         for s in model.strata
     )
     return SncdModel(model.kind, form.m, model.ambient_dim, comps, strata)

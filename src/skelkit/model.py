@@ -17,11 +17,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import DomainError, _echo
-from .series import SeriesPair, _antichain
+from .series import _antichain
 
 KIND_SNCD = "sncd-over-dvr"
 KIND_LOG_RESOLUTION = "log-resolution"
@@ -40,12 +40,6 @@ class PrimeComponent(Record):
 
     __slots__ = ("id", "name", "N", "mu")
 
-    def __init__(self, id: str, name: str, N: int, mu: int):
-        _set(self, "id", id)
-        _set(self, "name", name)
-        _set(self, "N", N)
-        _set(self, "mu", mu)
-
 
 class Stratum(Record):
     """A connected component of an intersection of prime components.
@@ -54,22 +48,12 @@ class Stratum(Record):
     refines, in a fixed order; exponent vectors and alpha tuples use
     that order.  face_map sends each vertex j to the id of the stratum
     with vertex set vertices minus {j}; it is required whenever the
-    stratum has two or more vertices.
+    stratum has two or more vertices.  horizontal is the stratum's
+    expansion data, a `series.SeriesPair`, or None.
     """
 
     __slots__ = ("id", "vertices", "face_map", "touches_zero", "touches_pole", "horizontal")
-
-    def __init__(
-        self, id: str, vertices: tuple[str, ...], face_map: Optional[dict[str, str]] = None,
-        touches_zero: bool = False, touches_pole: bool = False,
-        horizontal: Optional[SeriesPair] = None,
-    ):
-        _set(self, "id", id)
-        _set(self, "vertices", vertices)
-        _set(self, "face_map", {} if face_map is None else face_map)
-        _set(self, "touches_zero", touches_zero)
-        _set(self, "touches_pole", touches_pole)
-        _set(self, "horizontal", horizontal)
+    _defaults = {"face_map": {}, "touches_zero": False, "touches_pole": False, "horizontal": None}
 
     @property
     def r(self) -> int:
@@ -87,15 +71,7 @@ class FormData(Record):
     """
 
     __slots__ = ("m", "mu", "touches_zero", "touches_pole")
-
-    def __init__(
-        self, m: int, mu: dict[str, int], touches_zero: Optional[dict[str, bool]] = None,
-        touches_pole: Optional[dict[str, bool]] = None,
-    ):
-        _set(self, "m", m)
-        _set(self, "mu", mu)
-        _set(self, "touches_zero", {} if touches_zero is None else touches_zero)
-        _set(self, "touches_pole", {} if touches_pole is None else touches_pole)
+    _defaults = {"touches_zero": {}, "touches_pole": {}}
 
 
 class Violation(Record):
@@ -103,19 +79,12 @@ class Violation(Record):
 
     __slots__ = ("code", "message")
 
-    def __init__(self, code: str, message: str):
-        _set(self, "code", code)
-        _set(self, "message", message)
-
     def __str__(self):
         return f"{self.code}: {self.message}"
 
 
 class ValidationReport(Record):
     __slots__ = ("violations",)
-
-    def __init__(self, violations: tuple[Violation, ...]):
-        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -146,11 +115,8 @@ class SncdModel(Record):
         self, kind: str, m: int, ambient_dim: int,
         components: tuple[PrimeComponent, ...], strata: tuple[Stratum, ...],
     ):
-        _set(self, "kind", kind)
-        _set(self, "m", m)
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "components", tuple(sorted(components, key=_by_id)))
-        _set(self, "strata", tuple(sorted(strata, key=_by_id)))
+        components, strata = sorted(components, key=_by_id), sorted(strata, key=_by_id)
+        Record.__init__(self, kind, m, ambient_dim, tuple(components), tuple(strata))
 
     @cached_property
     def _components_by_id(self) -> dict[str, PrimeComponent]:

@@ -130,7 +130,7 @@ def _component(entry, i: int) -> PrimeComponent:
     if (type(entry) is dict and entry.keys() == _COMPONENT.keys()
             and type(entry["id"]) is type(entry["name"]) is str
             and type(entry["N"]) is type(entry["mu"]) is int):
-        return PrimeComponent(**entry)
+        return PrimeComponent(entry["id"], entry["name"], entry["N"], entry["mu"])
     where = f"components[{i}]"
     return PrimeComponent(*_fields(entry, _COMPONENT, where, "component must be an object"))
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, count
 from math import lcm
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import DomainError, UnsupportedCenterError, _echo
 from .model import SncdModel, Stratum, _Complex, cofaces, face, is_maximal
 from .series import _pullback
@@ -40,16 +40,7 @@ class BlowupStep(Record):
     """
 
     __slots__ = ("center_stratum", "center_vertices", "codim", "new_vertex", "replacements")
-
-    def __init__(
-        self, center_stratum: str, center_vertices: tuple[str, ...], codim: int,
-        new_vertex: str, replacements: dict[str, dict[tuple[str, ...], str]] | None = None,
-    ):
-        _set(self, "center_stratum", center_stratum)
-        _set(self, "center_vertices", center_vertices)
-        _set(self, "codim", codim)
-        _set(self, "new_vertex", new_vertex)
-        _set(self, "replacements", {} if replacements is None else replacements)
+    _defaults = {"replacements": {}}
 
     def to_json(self):
         return {
@@ -72,13 +63,7 @@ class BlowupTrace(Record):
     """
 
     __slots__ = ("steps", "pullback")
-
-    def __init__(
-        self, steps: list[BlowupStep] | None = None,
-        pullback: dict[str, dict[str, int]] | None = None,
-    ):
-        _set(self, "steps", [] if steps is None else steps)
-        _set(self, "pullback", {} if pullback is None else pullback)
+    _defaults = {"steps": [], "pullback": {}}
 
     def extend(self, step: BlowupStep):
         self.steps.append(step)
@@ -98,7 +83,7 @@ class BlowupTrace(Record):
 
 
 def _new_trace(model: SncdModel) -> BlowupTrace:
-    return BlowupTrace(pullback={c.id: {c.id: 1} for c in model.components})
+    return BlowupTrace([], {c.id: {c.id: 1} for c in model.components})
 
 
 def _exc_ids(model: SncdModel | _Complex):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from operator import le
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import DomainError
 
 
@@ -51,9 +51,7 @@ class Support(Record):
                     raise DomainError(
                         f"exponent vector {beta} has a non-integer or negative entry"
                     )
-        _set(self, "stratum", stratum)
-        _set(self, "vertices", vertices)
-        _set(self, "exponents", exponents)
+        Record.__init__(self, stratum, vertices, exponents)
 
 
 class SeriesPair(Record):
@@ -64,8 +62,7 @@ class SeriesPair(Record):
     def __init__(self, num: Support, den: Support):
         if num.stratum != den.stratum or num.vertices != den.vertices:
             raise DomainError("numerator and denominator live on different strata")
-        _set(self, "num", num)
-        _set(self, "den", den)
+        Record.__init__(self, num, den)
 
 
 class AlphaVector(Record):
@@ -83,8 +80,7 @@ class AlphaVector(Record):
             raise DomainError("alpha entries must be nonnegative")
         if not any(a > 0 for a in alpha.values()):
             raise DomainError("alpha must have at least one positive entry")
-        _set(self, "stratum", stratum)
-        _set(self, "alpha", alpha)
+        Record.__init__(self, stratum, alpha)
 
 
 def _check_match(s: Support, a: AlphaVector):
@@ -141,7 +137,7 @@ def _antichain(exponents) -> frozenset[tuple[int, ...]]:
     return frozenset(kept)
 
 
-_new, _zeros = object.__new__, cache(lambda n: frozenset([(0,) * n]))
+_new, _store, _zeros = Record.__new__, Record.__init__, cache(lambda n: frozenset([(0,) * n]))
 
 
 def _pullback(h: SeriesPair, center_at, shift: int):
@@ -160,15 +156,11 @@ def _pullback(h: SeriesPair, center_at, shift: int):
         if len(keep_at) + 1 != len(vertices):
             raise DomainError(f"a pullback onto {stratum!r} needs a position per kept vertex")
         pair, n, d = _new(SeriesPair), _new(Support), _new(Support)
-        _set(n, "exponents", _antichain([(c, *[beta[p] for p in keep_at]) for c, beta in num]))
-        _set(d, "exponents", _zeros(len(vertices)) if den is None else
-             _antichain([(c, *[beta[p] for p in keep_at]) for c, beta in den]))
-        _set(n, "stratum", stratum)
-        _set(n, "vertices", vertices)
-        _set(d, "stratum", stratum)
-        _set(d, "vertices", vertices)
-        _set(pair, "num", n)
-        _set(pair, "den", d)
+        _store(n, stratum, vertices,
+               _antichain([(c, *[beta[p] for p in keep_at]) for c, beta in num]))
+        _store(d, stratum, vertices, _zeros(len(vertices)) if den is None else
+               _antichain([(c, *[beta[p] for p in keep_at]) for c, beta in den]))
+        _store(pair, n, d)
         return pair
 
     return onto

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import DomainError
 from .model import SncdModel, Stratum, _Complex, _bends, face
 from .series import AlphaVector, _check_match, _fractions, _order
@@ -39,8 +39,7 @@ class BarycentricPoint(Record):
     __slots__ = ("stratum", "w")
 
     def __init__(self, stratum: str, w: dict[str, Fraction]):
-        _set(self, "stratum", stratum)
-        _set(self, "w", _fractions(w))
+        Record.__init__(self, stratum, _fractions(w))
 
 
 class PointSpec(Record):
@@ -54,8 +53,7 @@ class PointSpec(Record):
     __slots__ = ("center", "values")
 
     def __init__(self, center: str, values: dict[str, Fraction]):
-        _set(self, "center", center)
-        _set(self, "values", _fractions(values))
+        Record.__init__(self, center, _fractions(values))
 
 
 def _shown(q: Fraction) -> str:

@@ -1,6 +1,5 @@
 """Shared fixtures: the bundled corpus and seeded random generators."""
 
-import dataclasses
 import io
 import json
 import traceback
@@ -94,7 +93,7 @@ def random_simplex_model(rng, expansion=False):
     pair = sk.SeriesPair(sk.Support(top.id, top.vertices, num),
                          sk.Support(top.id, top.vertices, frozenset({(0,) * r})))
     return model.replace(strata=tuple(
-        dataclasses.replace(s, horizontal=pair) if s is top else s for s in model.strata))
+        s.replace(horizontal=pair) if s is top else s for s in model.strata))
 
 
 def random_point(rng, model, stratum_id, max_part=9):

@@ -1,6 +1,5 @@
 """Thresholds and discrepancies on log resolution data."""
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -51,7 +50,7 @@ def test_sk_pair(bundled):
 
 def _flagged(model, flag, stratum_ids):
     strata = tuple(
-        dataclasses.replace(s, **{flag: True}) if s.id in stratum_ids else s
+        s.replace(**{flag: True}) if s.id in stratum_ids else s
         for s in model.strata
     )
     out = model.replace(strata=strata)
@@ -118,7 +117,7 @@ def test_connectedness_report(bundled):
 def test_a_component_with_n_below_one_is_a_domain_error(bundled):
     m = bundled["cusp"]
     broken = m.replace(components=tuple(
-        dataclasses.replace(c, N=0) if c.id == "E1" else c for c in m.components
+        c.replace(N=0) if c.id == "E1" else c for c in m.components
     ))
     for call in (sk.lct, sk.min_weight, sk.ks_skeleton, sk.sk_pair):
         with pytest.raises(sk.DomainError, match="'E1' has N = 0"):

@@ -1,6 +1,5 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
-import dataclasses
 import json
 import random
 import re
@@ -178,7 +177,7 @@ def _with_expansion(model, sid, num, den):
     pair = sk.SeriesPair(sk.Support(sid, s.vertices, frozenset(num)),
                          sk.Support(sid, s.vertices, frozenset(den)))
     return model.replace(strata=tuple(
-        dataclasses.replace(t, horizontal=pair) if t is s else t for t in model.strata))
+        t.replace(horizontal=pair) if t is s else t for t in model.strata))
 
 
 def test_a_bending_numerator_keeps_its_stratum_off_the_skeleton(tmp_path, capsys):
@@ -231,7 +230,7 @@ def test_a_long_poles_error_is_one_short_line(tmp_path):
     plain, poles = str(tmp_path / "plain.model"), str(tmp_path / "poles.model")
     sk.save_model(model, plain)
     sk.save_model(model.replace(strata=tuple(
-        dataclasses.replace(s, touches_pole=True) for s in model.strata)), poles)
+        s.replace(touches_pole=True) for s in model.strata)), poles)
     for argv in (["ks", plain, "--form", str(form)], ["essential", plain, "--form", str(form)],
                  ["ks", poles]):
         assert run_cli(argv) == (
@@ -487,7 +486,7 @@ def test_console_script_entry():
 
 def _n_zero(model):
     first, *rest = model.components
-    return model.replace(components=(dataclasses.replace(first, N=0), *rest))
+    return model.replace(components=(first.replace(N=0), *rest))
 
 
 def _missing_face(model):
@@ -495,7 +494,7 @@ def _missing_face(model):
     gone = top.vertices[0]
     face_map = {v: t for v, t in top.face_map.items() if v != gone}
     strata = tuple(
-        dataclasses.replace(s, face_map=face_map) if s is top else s for s in model.strata
+        s.replace(face_map=face_map) if s is top else s for s in model.strata
     )
     return model.replace(strata=strata)
 

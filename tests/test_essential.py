@@ -1,6 +1,5 @@
 """Minimal-weight skeleta, form overlays, connectivity."""
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -125,7 +124,7 @@ def _expansion_model(rng):
     denominator that bends.  Returns the model and each cell's kind of data."""
     model = (random_graph_model if rng.random() < 0.5 else random_complex_model)(rng)
     k = rng.randint(1, 2)
-    comps = [dataclasses.replace(c, mu=k * c.N + (rng.random() < 0.2)) for c in model.components]
+    comps = [c.replace(mu=k * c.N + (rng.random() < 0.2)) for c in model.components]
     mu = {c.id: c.mu for c in comps}
     cells = [s for s in model.strata if s.r >= 2]
     kinds = {s.id: rng.choice(["monomial", "num", "den"])
@@ -138,7 +137,7 @@ def _expansion_model(rng):
             num = {tuple(b + u for b, u in zip(base, unit)) for unit in units}
             num, den = {"monomial": ({base}, {(0,) * r}), "num": (num, {(0,) * r}),
                         "den": ({base}, units)}[kinds[s.id]]
-            s = dataclasses.replace(s, horizontal=sk.SeriesPair(
+            s = s.replace(horizontal=sk.SeriesPair(
                 sk.Support(s.id, s.vertices, num), sk.Support(s.id, s.vertices, den)))
         strata.append(s)
     return sk.SncdModel(model.kind, 1, model.ambient_dim, comps, strata), kinds

@@ -9,7 +9,6 @@ builds the overlaid model and validates it.  Both must give the same
 minimum and skeleton, or raise `DomainError` with the same message.
 """
 
-import dataclasses
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
@@ -28,7 +27,7 @@ def _model(rng):
         return BUNDLED[rng.choice(BUNDLED_NAMES)]
     model = (random_graph_model if pick < 0.65 else random_complex_model)(rng)
     if rng.random() < 0.4:
-        return dataclasses.replace(model, kind=sk.KIND_LOG_RESOLUTION, m=1)
+        return model.replace(kind=sk.KIND_LOG_RESOLUTION, m=1)
     return model
 
 

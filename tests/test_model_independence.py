@@ -8,7 +8,6 @@ union of the skeleta of several forms, each carried across a step by
 blowing up its overlay the same way, keeps its number of pieces too.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -32,11 +31,11 @@ def _tied(rng, model):
         mu = math.ceil(lo * c.N)
         if mu == lo * c.N and rng.random() < 0.5:
             mu += rng.randint(1, 2)
-        comps.append(dataclasses.replace(c, mu=mu))
+        comps.append(c.replace(mu=mu))
     zero = set()
     for _ in range(rng.randint(0, 2)):
         zero.update(sk.cofaces(model, rng.choice(model.strata).id))
-    strata = [dataclasses.replace(s, touches_zero=s.id in zero) for s in model.strata]
+    strata = [s.replace(touches_zero=s.id in zero) for s in model.strata]
     return sk.SncdModel(model.kind, model.m, model.ambient_dim, comps, strata)
 
 

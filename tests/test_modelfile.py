@@ -209,6 +209,17 @@ def _package_imports(path):
     return found
 
 
+def test_only_the_record_base_decides_how_a_record_stores_its_fields():
+    package = Path(__file__).resolve().parents[1] / "src" / "skelkit"
+    for path in package.glob("*.py"):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module in ("_record", "skelkit._record"):
+                assert [a.name for a in node.names] == ["Record"], path.name
+        if path.stem != "_record":
+            assert "object.__setattr__" not in source and "object.__new__" not in source, path.name
+
+
 def test_the_file_layer_imports_no_skeleton_layer():
     source = Path(__file__).resolve().parents[1] / "src" / "skelkit" / "modelfile.py"
     assert _package_imports(source) <= {"errors", "model", "series"}

@@ -1,6 +1,5 @@
 """Blow-ups: combinatorics, traces, point transfer, reduction."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -131,7 +130,7 @@ def test_a_point_cone_takes_the_flags_of_the_face_it_lies_over():
     # the cone lies over s_A_B, which stays off the zero locus of s_A_B_C
     m = triangle()
     m = m.replace(strata=tuple(
-        dataclasses.replace(s, touches_zero=s.id == "s_A_B_C") for s in m.strata))
+        s.replace(touches_zero=s.id == "s_A_B_C") for s in m.strata))
     assert sk.validate(m).ok
     out, e, _ = sk.blowup_point(m, "s_A_B_C", ("A", "B"), 3)
     assert sk.validate(out).ok
@@ -402,10 +401,10 @@ def _with_taken_names(rng, model):
     for s in model.strata:
         h = s.horizontal
         if h is not None:
-            h = sk.SeriesPair(dataclasses.replace(h.num, stratum=rn(s.id)),
-                              dataclasses.replace(h.den, stratum=rn(s.id)))
+            h = sk.SeriesPair(h.num.replace(stratum=rn(s.id)),
+                              h.den.replace(stratum=rn(s.id)))
         fm = {v: rn(t) for v, t in s.face_map.items()}
-        strata.append(dataclasses.replace(s, id=rn(s.id), face_map=fm, horizontal=h))
+        strata.append(s.replace(id=rn(s.id), face_map=fm, horizontal=h))
     return model.replace(strata=tuple(strata))
 
 
@@ -480,7 +479,7 @@ def _simplex_with_a_general_den(rng):
     pair = sk.SeriesPair(sk.Support(top.id, top.vertices, frozenset(num)),
                          sk.Support(top.id, top.vertices, frozenset(den)))
     return model.replace(strata=tuple(
-        dataclasses.replace(s, horizontal=pair) if s is top else s for s in model.strata))
+        s.replace(horizontal=pair) if s is top else s for s in model.strata))
 
 
 def _permuted_expansions(rng, model):
@@ -496,7 +495,7 @@ def _permuted_expansions(rng, model):
                                   frozenset(tuple(b[i] for i in order) for b in f.exponents))
 
             h = sk.SeriesPair(shuffled(h.num), shuffled(h.den))
-        strata.append(dataclasses.replace(s, horizontal=h))
+        strata.append(s.replace(horizontal=h))
     return model.replace(strata=tuple(strata))
 
 
@@ -526,7 +525,7 @@ def _with_expansion(m, sid, vertices, exponent):
     pair = sk.SeriesPair(sk.Support(sid, vertices, frozenset({exponent})),
                          sk.Support(sid, vertices, frozenset({(0,) * len(vertices)})))
     return m.replace(strata=tuple(
-        dataclasses.replace(s, horizontal=pair) if s.id == sid else s for s in m.strata))
+        s.replace(horizontal=pair) if s.id == sid else s for s in m.strata))
 
 
 def _expansion_edge(vertices, exponent):
@@ -585,7 +584,7 @@ def test_reduction_builds_no_checked_support(monkeypatch):
     pair = sk.SeriesPair(sk.Support("s_A_B_C", ("A", "B", "C"), num),
                          sk.Support("s_A_B_C", ("A", "B", "C"), frozenset({(0, 0, 0)})))
     m = m.replace(strata=tuple(
-        dataclasses.replace(s, horizontal=pair) if s.id == "s_A_B_C" else s
+        s.replace(horizontal=pair) if s.id == "s_A_B_C" else s
         for s in m.strata))
     assert sk.validate(m).ok
     total = 2 * 1 + 1 * 7 + 2 * 150
@@ -629,7 +628,7 @@ def test_blowup_point_matches_the_cone_builder_reference(rng):
     step = trace.steps[0]
     assert step.replacements == {}
     assert step.center_stratum == sk.face(model, s.id, J)
-    assert step == dataclasses.replace(ref_trace.steps[0], center_stratum=step.center_stratum)
+    assert step == ref_trace.steps[0].replace(center_stratum=step.center_stratum)
     assert trace.pullback == ref_trace.pullback
 
 

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import os
 import pickle
+import pprint
 import re
 import subprocess
 import sys
@@ -118,6 +119,16 @@ def test_a_record_keeps_the_frozen_dataclass_contract(cls):
         assert type(again) is cls and again == a
     assert dataclasses.replace(a) == a == a.replace()
 
+    values = _values(a)
+    assert cls(**dict(zip(names, values))) == cls(*values) == a
+    wrong = [lambda: cls(*values, "one too many"), lambda: cls(*values[:-1], extra=1),
+             lambda: cls(*values, **{names[0]: values[0]})]
+    if cls is not sk.BlowupTrace:  # the one record whose every field has a default
+        wrong.append(cls)
+    for call in wrong:
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\b"):
+            call()
+
 
 @pytest.mark.parametrize("cls", DEFAULTS, ids=lambda cls: cls.__name__)
 def test_a_mutable_default_is_fresh_per_instance(cls):
@@ -126,6 +137,7 @@ def test_a_mutable_default_is_fresh_per_instance(cls):
     for name in defaulted:
         assert getattr(a, name) == getattr(b, name) and not getattr(a, name)
         assert getattr(a, name) is not getattr(b, name)
+        assert getattr(a.replace(**{name: None}), name) is None  # stored as given
 
 
 def test_the_converting_constructors_copy_their_input():
@@ -166,11 +178,26 @@ def test_the_checking_constructors_keep_their_messages(build, message):
         build()
 
 
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_pprint_prints_a_record_wider_than_the_line_by_its_repr(cls):
+    record = RECORDS[cls][0]()
+    assert pprint.pformat(record, width=20) == repr(record)
+
+
+def _in_a_fresh_interpreter(*lines):
+    """Run a script in a new process, whose class attributes no test has cached yet."""
+    script = "\n".join(["import skelkit as sk", *lines, "print('ok')"])
+    path = [str(Path(sk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
 def test_the_cli_imports_no_dataclasses_and_replace_still_works():
     # what bench/cli_corpus.py does to build its mutated models
-    script = "\n".join([
+    _in_a_fresh_interpreter(
         "import sys",
-        "import skelkit.cli, skelkit as sk",
+        "import skelkit.cli",
         "assert not {'dataclasses', 'inspect'} & set(sys.modules), sorted(sys.modules)",
         "import dataclasses",
         f"model = sk.load_model({str(bundled_path('edge_23'))!r})",
@@ -180,9 +207,16 @@ def test_the_cli_imports_no_dataclasses_and_replace_still_works():
         "assert (t.id, t.vertices, t.face_map) == (s.id, s.vertices, {'A': 'v_B'})",
         "assert (d.id, d.name, d.N, d.mu) == (c.id, c.name, 0, c.mu)",
         "assert type(t) is sk.Stratum and type(d) is sk.PrimeComponent",
-        "print('ok')",
-    ])
-    path = [str(Path(sk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+    )
+
+
+def test_asking_dataclasses_about_the_base_leaves_each_record_its_fields():
+    _in_a_fresh_interpreter(
+        "import dataclasses",
+        "from skelkit._record import Record",
+        "assert dataclasses.is_dataclass(Record) and dataclasses.fields(Record) == ()",
+        "s = sk.Stratum('v_A', ('A',))",
+        "assert [f.name for f in dataclasses.fields(s)] == ["
+        "    'id', 'vertices', 'face_map', 'touches_zero', 'touches_pole', 'horizontal']",
+        "assert dataclasses.replace(s, touches_zero=True) == s.replace(touches_zero=True)",
+    )

@@ -6,7 +6,6 @@ vertices, expansion data) and requires the one-walk `validate` to report
 the same multiset of (code, message) pairs as the reference.
 """
 
-import dataclasses
 import random
 from collections import Counter
 
@@ -34,8 +33,7 @@ def drop_face(rng, model):
     if s is None or not s.face_map:
         return model
     gone = rng.choice(sorted(s.face_map))
-    return _swap(model, s, dataclasses.replace(
-        s, face_map={v: t for v, t in s.face_map.items() if v != gone}))
+    return _swap(model, s, s.replace(face_map={v: t for v, t in s.face_map.items() if v != gone}))
 
 
 def redirect_face(rng, model):
@@ -43,8 +41,8 @@ def redirect_face(rng, model):
     if s is None or not s.face_map:
         return model
     target = rng.choice([t.id for t in model.strata] + ["ghost"])
-    return _swap(model, s, dataclasses.replace(
-        s, face_map={**s.face_map, rng.choice(sorted(s.face_map)): target}))
+    key = rng.choice(sorted(s.face_map))
+    return _swap(model, s, s.replace(face_map={**s.face_map, key: target}))
 
 
 def extra_face_key(rng, model):
@@ -53,7 +51,7 @@ def extra_face_key(rng, model):
         return model
     key = rng.choice([c.id for c in model.components] + ["Q"])
     target = rng.choice([t.id for t in model.strata])
-    return _swap(model, s, dataclasses.replace(s, face_map={**s.face_map, key: target}))
+    return _swap(model, s, s.replace(face_map={**s.face_map, key: target}))
 
 
 def flip_flag(rng, model):
@@ -61,13 +59,13 @@ def flip_flag(rng, model):
     if s is None:
         return model
     flag = rng.choice(["touches_zero", "touches_pole"])
-    return _swap(model, s, dataclasses.replace(s, **{flag: not getattr(s, flag)}))
+    return _swap(model, s, s.replace(**{flag: not getattr(s, flag)}))
 
 
 def _change_component(rng, model, change):
     c = rng.choice(model.components)
     others = tuple(x for x in model.components if x is not c)
-    return model.replace(components=(dataclasses.replace(c, **change(c)), *others))
+    return model.replace(components=(c.replace(**change(c)), *others))
 
 
 def set_n(rng, model):
@@ -97,12 +95,10 @@ def drop_stratum(rng, model):
 def duplicate_id(rng, model):
     if rng.random() < 0.5:
         c = rng.choice(model.components)
-        twin = dataclasses.replace(
-            c, id=rng.choice(model.components).id, N=rng.randint(0, 3)
-        )
+        twin = c.replace(id=rng.choice(model.components).id, N=rng.randint(0, 3))
         return model.replace(components=model.components + (twin,))
     s = _any_stratum(rng, model)
-    twin = dataclasses.replace(_any_stratum(rng, model), id=s.id, touches_zero=True)
+    twin = _any_stratum(rng, model).replace(id=s.id, touches_zero=True)
     return model.replace(strata=model.strata + (twin,))
 
 
@@ -128,7 +124,7 @@ def odd_vertex(rng, model):
         vertices.append(extra)
     else:
         vertices[rng.randrange(len(vertices))] = extra
-    return _swap(model, s, dataclasses.replace(s, vertices=tuple(vertices)))
+    return _swap(model, s, s.replace(vertices=tuple(vertices)))
 
 
 def horizontal(rng, model):
@@ -150,7 +146,7 @@ def horizontal(rng, model):
         sk.Support(s.id, tuple(vertices), frozenset({tuple(num), above})),
         sk.Support(s.id, tuple(vertices), frozenset({tuple(den)})),
     )
-    return _swap(model, s, dataclasses.replace(s, horizontal=pair))
+    return _swap(model, s, s.replace(horizontal=pair))
 
 
 MUTATIONS = [
