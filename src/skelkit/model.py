@@ -49,7 +49,8 @@ class Stratum(Record):
     that order.  face_map sends each vertex j to the id of the stratum
     with vertex set vertices minus {j}; it is required whenever the
     stratum has two or more vertices.  horizontal is the stratum's
-    expansion data, a `series.SeriesPair`, or None.
+    expansion data, a `series.SeriesPair` written on this stratum's id
+    and vertices in their order (a model refuses any other), or None.
     """
 
     __slots__ = ("id", "vertices", "face_map", "touches_zero", "touches_pole", "horizontal")
@@ -105,8 +106,9 @@ class SncdModel(Record):
 
     Components and strata are stored sorted by id so that equal models
     compare equal and serialization is deterministic regardless of
-    construction order.  The instance dict holds the lazy id maps and
-    coface index.
+    construction order.  Building one raises DomainError, naming the stratum,
+    unless each expansion is written on its stratum's id and vertices, in
+    their order.  The instance dict holds the lazy id maps and coface index.
     """
 
     __slots__ = ("kind", "m", "ambient_dim", "components", "strata", "__dict__")
@@ -116,6 +118,12 @@ class SncdModel(Record):
         components: tuple[PrimeComponent, ...], strata: tuple[Stratum, ...],
     ):
         components, strata = sorted(components, key=_by_id), sorted(strata, key=_by_id)
+        for s in strata:
+            if s.horizontal is not None:
+                f = s.horizontal.num  # SeriesPair ties den to num
+                if f.stratum != s.id or f.vertices != s.vertices:
+                    raise DomainError(f"stratum {s.id!r}: its expansion is written on "
+                                      f"{f.stratum!r} {f.vertices}, not on {s.id!r} {s.vertices}")
         Record.__init__(self, kind, m, ambient_dim, tuple(components), tuple(strata))
 
     @cached_property
@@ -394,20 +402,9 @@ def validate(model: SncdModel) -> ValidationReport:
         if not unknown and r >= 2:
             _check_faces(model, s, add)
         h = s.horizontal
+        if h is not None and model.kind == KIND_LOG_RESOLUTION:
+            add("kind", f"stratum {s.id!r} has expansion data, which log-resolution models lack")
         if unknown or h is None:
-            continue
-        if h.num.stratum != s.id:  # SeriesPair ties den to num
-            add(
-                "horizontal-consistency",
-                f"stratum {s.id!r}: expansion is written on stratum {h.num.stratum!r}",
-            )
-            continue
-        if h.num.vertices != vs or h.den.vertices != vs:
-            add(
-                "horizontal-consistency",
-                f"stratum {s.id!r}: expansion coordinates do not match "
-                f"the stratum's vertex order",
-            )
             continue
         for j, v in enumerate(vs):
             lo_num = min(beta[j] for beta in h.num.exponents)

@@ -124,7 +124,7 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupS
     subsets are listed once per step, and each face on A + L is read by
     walking the dropped vertices J - A through the working complex's face
     maps: the walk `face` makes, without its argument checks.  A coface's
-    expansion, checked once to lie on tau's vertices, is pulled back by
+    expansion, written on tau's vertices in their order, is pulled back by
     one `_pullback` per coface, projected once per new stratum.
     """
     sigma = model.stratum(sigma_id)
@@ -162,10 +162,8 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupS
     for tid in coface_ids:
         tau, mine = strata[tid], replacements[tid]
         L = tuple(v for v in tau.vertices if v not in J)
-        if (h := tau.horizontal) is not None:  # positions in the expansion's vertex order
-            if sorted(h.num.vertices) != sorted(tau.vertices):
-                raise DomainError(f"stratum {tid!r} has its expansion on other vertices")
-            at = {v: i for i, v in enumerate(h.num.vertices)}
+        if (h := tau.horizontal) is not None:  # written in tau's vertex order
+            at = {v: i for i, v in enumerate(tau.vertices)}
             pullback = _pullback(h, [at[j] for j in J], jacobian)
         for A, facets, drop in table:
             new_id = mine[A]

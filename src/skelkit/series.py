@@ -153,8 +153,6 @@ def _pullback(h: SeriesPair, center_at, shift: int):
         (sum([beta[p] for p in center_at]), beta) for beta in h.den.exponents]
 
     def onto(stratum: str, vertices: tuple[str, ...], keep_at) -> SeriesPair:
-        if len(keep_at) + 1 != len(vertices):
-            raise DomainError(f"a pullback onto {stratum!r} needs a position per kept vertex")
         pair, n, d = _new(SeriesPair), _new(Support), _new(Support)
         _store(n, stratum, vertices,
                _antichain([(c, *[beta[p] for p in keep_at]) for c, beta in num]))

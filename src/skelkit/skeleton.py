@@ -21,7 +21,7 @@ from fractions import Fraction
 from ._record import Record
 from .errors import DomainError
 from .model import SncdModel, Stratum, _Complex, _bends, face
-from .series import AlphaVector, _check_match, _fractions, _order
+from .series import AlphaVector, _fractions, _order
 
 CLASS_AFFINE = "affine"
 CLASS_CONCAVE = "concave"
@@ -147,19 +147,18 @@ def weight(model: SncdModel, x: SkeletonPoint) -> Fraction:
     >>> weight(mdl, SkeletonPoint("e", {"A": F(1, 4), "B": F(1, 6)}))
     Fraction(5, 12)
     """
-    s = check_point(model, x)
-    if s.horizontal is not None:  # refuse an expansion on another stratum or vertex set
-        _check_match(s.horizontal.num, x)
-    return _weight_on(model, s, x.alpha)
+    return _weight_on(model, check_point(model, x), x.alpha)
 
 
 def _weight_on(model: SncdModel | _Complex, s: Stratum, alpha: dict):
-    """The module's weight formula on the face s at coordinates alpha, normalized or not."""
+    """The module's weight formula on the face s at coordinates alpha, normalized or not.
+
+    alpha is read once, in s's vertex order, which its model requires an expansion to follow."""
     h = s.horizontal
     if h is None:
         return sum(alpha[v] * model.component(v).mu for v in s.vertices)
-    num, den = (_order(f.exponents, [alpha[v] for v in f.vertices]) for f in (h.num, h.den))
-    return num - den + model.m * sum(alpha.values())
+    a = [alpha[v] for v in s.vertices]
+    return _order(h.num.exponents, a) - _order(h.den.exponents, a) + model.m * sum(a)
 
 
 def value_on_component(model: SncdModel, x: SkeletonPoint, comp_id: str) -> Fraction:

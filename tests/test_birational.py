@@ -3,8 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skelkit as sk
+from conftest import load_bundled, random_complex_model, random_graph_model, random_point
 
 
 def test_lct_values(bundled):
@@ -125,3 +127,42 @@ def test_a_component_with_n_below_one_is_a_domain_error(bundled):
     q = sk.QuasiMonomialPoint("e_E3_E1", {"E1": F(1), "E3": F(0)})
     with pytest.raises(sk.DomainError, match="'E1' has N = 0"):
         sk.weight_qm(broken, q)
+
+
+def test_a_log_resolution_with_expansion_data_is_invalid():
+    # weight reads an expansion and weight_qm does not, so a log resolution, read by
+    # its N and mu alone, carries none: here they would give 3 and 8/3 at (1/3, 2/3)
+    edge = sk.graph_model(sk.KIND_LOG_RESOLUTION, 1, 2, [("A", "A", 1, 2), ("B", "B", 1, 3)],
+                          [("e", "A", "B")])
+    pair = sk.SeriesPair(sk.Support("e", ("A", "B"), frozenset({(1, 3), (2, 2)})),
+                         sk.Support("e", ("A", "B"), frozenset({(0, 0)})))
+    m = edge.replace(strata=tuple(
+        s.replace(horizontal=pair) if s.id == "e" else s for s in edge.strata))
+    assert [(v.code, v.message) for v in sk.validate(m).violations] == [
+        ("kind", "stratum 'e' has expansion data, which log-resolution models lack")]
+    # the same data is valid on an sncd model, whose weight reads it
+    sncd = m.replace(kind=sk.KIND_SNCD)
+    assert sk.validate(sncd).ok
+    assert sk.weight(sncd, sk.SkeletonPoint("e", {"A": F(1, 3), "B": F(2, 3)})) == 3
+    assert sk.weight_qm(m, sk.QuasiMonomialPoint("e", {"A": F(1, 3), "B": F(2, 3)})) == F(8, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_weight_qm_is_the_weight_at_the_normalized_point(rng):
+    # on every log resolution validate accepts: the bundled two and random models
+    # switched to that kind, as the connectivity oracle does
+    pick = rng.randrange(3)
+    if pick == 0:
+        model = load_bundled(rng.choice(["cusp", "node"]))
+    else:
+        model = (random_graph_model if pick == 1 else random_complex_model)(rng)
+        model = model.replace(kind=sk.KIND_LOG_RESOLUTION, m=1)
+    assert sk.validate(model).ok
+    sid = rng.choice(model.strata).id
+    scale = F(rng.randint(1, 60), rng.randint(1, 60))
+    y = random_point(rng, model, sid, max_part=rng.choice([9, 60]))
+    x = sk.QuasiMonomialPoint(sid, {v: a * scale for v, a in y.alpha.items()})
+    order = sk.intersection_order(model, x)
+    normalized = sk.SkeletonPoint(sid, {v: a / order for v, a in x.alpha.items()})
+    assert sk.weight_qm(model, x) == sk.weight(model, normalized)

@@ -300,48 +300,43 @@ def horizontal_edge(num, den, mu=(1, 1)):
     return sk.SncdModel(sk.KIND_SNCD, 1, 2, comps, strata)
 
 
+def _with_pair(m, sid, pair):
+    return m.replace(strata=tuple(
+        sk.Stratum(s.id, s.vertices, s.face_map, horizontal=pair) if s.id == sid else s
+        for s in m.strata))
+
+
 def test_validate_horizontal_consistency():
     ok = horizontal_edge({(2, 0), (0, 3)}, {(0, 0)})
     assert sk.validate(ok).ok
     # order along A reads 1 - 0 = 1 but the declared datum needs mu - m = 0
     bad = horizontal_edge({(1, 0)}, {(0, 0)})
     assert "horizontal-consistency" in codes(bad)
-    # expansion written against the wrong vertex order
+    # an expansion written against the wrong vertex order is refused when the model is built
     pair = sk.SeriesPair(
         sk.Support("e", ("B", "A"), frozenset({(0, 0)})),
         sk.Support("e", ("B", "A"), frozenset({(0, 0)})),
     )
     m = horizontal_edge({(0, 0)}, {(0, 0)})
-    twisted = m.replace(
-        strata=tuple(
-            sk.Stratum(s.id, s.vertices, s.face_map, horizontal=pair)
-            if s.id == "e"
-            else s
-            for s in m.strata
-        )
-    )
-    assert "horizontal-consistency" in codes(twisted)
+    with pytest.raises(sk.DomainError, match=r"^stratum 'e': its expansion is written on "
+                       r"'e' \('B', 'A'\), not on 'e' \('A', 'B'\)$"):
+        _with_pair(m, "e", pair)
 
 
-def test_validate_rejects_an_expansion_written_on_another_stratum():
+def test_a_model_refuses_an_expansion_written_on_another_stratum():
     m = horizontal_edge({(2, 0), (0, 3)}, {(0, 0)})
     e = m.stratum("e")
     moved = sk.SeriesPair(
         sk.Support("zzz", e.vertices, e.horizontal.num.exponents),
         sk.Support("zzz", e.vertices, e.horizontal.den.exponents),
     )
-    m = m.replace(
-        strata=tuple(
-            sk.Stratum(s.id, s.vertices, s.face_map, horizontal=moved)
-            if s.id == "e"
-            else s
-            for s in m.strata
-        )
-    )
-    report = sk.validate(m)
-    assert [(v.code, v.message) for v in report.violations] == [
-        ("horizontal-consistency", "stratum 'e': expansion is written on stratum 'zzz'")
-    ]
+    with pytest.raises(sk.DomainError, match=r"^stratum 'e': its expansion is written on "
+                       r"'zzz' \('A', 'B'\), not on 'e' \('A', 'B'\)$"):
+        _with_pair(m, "e", moved)
+    # the constructor refuses it too, whichever way the strata come
+    with pytest.raises(sk.DomainError, match="stratum 'e'"):
+        sk.SncdModel(m.kind, m.m, m.ambient_dim, m.components,
+                     [m.stratum("v_A"), m.stratum("v_B"), e.replace(horizontal=moved)])
 
 
 def test_violation_and_report_formatting():

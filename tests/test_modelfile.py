@@ -237,3 +237,23 @@ def test_each_module_imports_only_lower_ranks():
     for name, rank in _RANKS.items():
         above = {m for m in _package_imports(package / f"{name}.py") if _RANKS[m] >= rank}
         assert not above, (name, above)
+
+
+# math functions of integers only; any other would bring a float into the arithmetic
+_INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
+
+
+def test_the_package_computes_without_floats():
+    # everything stays Fraction: no float or complex literal, no use of the name
+    # float, and from math only integer functions, imported by name
+    package = Path(__file__).resolve().parents[1] / "src" / "skelkit"
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = (path.name, getattr(node, "lineno", None))
+            inexact = isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+            assert not inexact, where
+            assert not (isinstance(node, ast.Name) and node.id == "float"), where
+            if isinstance(node, ast.Import):
+                assert "math" not in [a.name for a in node.names], where
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                assert {a.name for a in node.names} <= _INTEGER_MATH, where

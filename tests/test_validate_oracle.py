@@ -97,8 +97,11 @@ def duplicate_id(rng, model):
         c = rng.choice(model.components)
         twin = c.replace(id=rng.choice(model.components).id, N=rng.randint(0, 3))
         return model.replace(components=model.components + (twin,))
-    s = _any_stratum(rng, model)
-    twin = _any_stratum(rng, model).replace(id=s.id, touches_zero=True)
+    s, t = _any_stratum(rng, model), _any_stratum(rng, model)
+    h = t.horizontal
+    if h is not None:  # the copy's expansion moves onto the twin's id, as a model requires
+        h = sk.SeriesPair(h.num.replace(stratum=s.id), h.den.replace(stratum=s.id))
+    twin = t.replace(id=s.id, touches_zero=True, horizontal=h)
     return model.replace(strata=model.strata + (twin,))
 
 
@@ -124,18 +127,18 @@ def odd_vertex(rng, model):
         vertices.append(extra)
     else:
         vertices[rng.randrange(len(vertices))] = extra
-    return _swap(model, s, s.replace(vertices=tuple(vertices)))
+    vertices = tuple(vertices)  # an expansion on the old vertices would be refused
+    h = s.horizontal if vertices == s.vertices else None
+    return _swap(model, s, s.replace(vertices=vertices, horizontal=h))
 
 
 def horizontal(rng, model):
     """Expansion data on a stratum, consistent with the weights or off by one
-    in an order or in its coordinate order."""
+    in an order; it is written in the stratum's vertex order, as a model requires."""
     s = _any_stratum(rng, model, 1)
     if s is None:
         return model
-    vertices = list(s.vertices)
-    if len(vertices) > 1 and rng.random() < 0.3:
-        rng.shuffle(vertices)
+    vertices = s.vertices
     mu = {c.id: c.mu for c in model.components}
     den = [max(0, model.m - mu.get(v, 0)) + rng.randint(0, 1) for v in vertices]
     num = [d + mu.get(v, 0) - model.m for d, v in zip(den, vertices)]
@@ -143,8 +146,8 @@ def horizontal(rng, model):
         num[rng.randrange(len(num))] += 1
     above = tuple(b + rng.randint(0, 2) for b in num)
     pair = sk.SeriesPair(
-        sk.Support(s.id, tuple(vertices), frozenset({tuple(num), above})),
-        sk.Support(s.id, tuple(vertices), frozenset({tuple(den)})),
+        sk.Support(s.id, vertices, frozenset({tuple(num), above})),
+        sk.Support(s.id, vertices, frozenset({tuple(den)})),
     )
     return _swap(model, s, s.replace(horizontal=pair))
 

@@ -1,5 +1,8 @@
 """The four-pass `validate` that the one-walk version replaced, kept verbatim
-but for its flag pass, which follows vertex keys only, as face-map edges do.
+but for its flag pass, which follows vertex keys only, as face-map edges do,
+its expansion pass, which no longer checks the expansion's stratum id and
+vertex order (a model refuses those where it is built), and the rule that
+log-resolution models carry no expansion data.
 
 `skelkit.model.validate` walks the strata once; this reference makes one
 pass over them per kind of check.  Both must report the same multiset of
@@ -31,6 +34,13 @@ def validate(model: SncdModel) -> ValidationReport:
         out.append(
             Violation("kind", f"log-resolution models fix m = 1, got m = {model.m}")
         )
+    if model.kind == KIND_LOG_RESOLUTION:
+        for s in model.strata:
+            if s.horizontal is not None:
+                out.append(Violation(
+                    "kind",
+                    f"stratum {s.id!r} has expansion data, which log-resolution models lack",
+                ))
     if model.ambient_dim < 1:
         out.append(
             Violation("ambient-dim", f"ambient_dim must be >= 1, got {model.ambient_dim}")
@@ -173,24 +183,6 @@ def validate(model: SncdModel) -> ValidationReport:
         if s.horizontal is None or set(s.vertices) - comp_set:
             continue
         h = s.horizontal
-        if h.num.stratum != s.id:
-            out.append(
-                Violation(
-                    "horizontal-consistency",
-                    f"stratum {s.id!r}: expansion is written on stratum "
-                    f"{h.num.stratum!r}",
-                )
-            )
-            continue
-        if h.num.vertices != s.vertices or h.den.vertices != s.vertices:
-            out.append(
-                Violation(
-                    "horizontal-consistency",
-                    f"stratum {s.id!r}: expansion coordinates do not match "
-                    f"the stratum's vertex order",
-                )
-            )
-            continue
         for j, v in enumerate(s.vertices):
             lo_num = min(beta[j] for beta in h.num.exponents)
             lo_den = min(beta[j] for beta in h.den.exponents)
