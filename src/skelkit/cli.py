@@ -1,19 +1,21 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 when the mathematics rejects the request
-(validation failures, domain errors), 2 when a document cannot be read
-or parsed or an -o path cannot be written (one stderr line names the
-path and the OS error).  All output is deterministic: ids are emitted
-in sorted order and rationals as exact "p/q" strings.
+Each command returns its output; `main` writes it to stdout in one statement
+and picks the exit status: 0 on success; 1 when the mathematics rejects the
+request (validation failures, domain errors) or stdout's encoding cannot hold
+the output; 2 when a document cannot be read or parsed or an -o path cannot
+be written.  `main_entry` exits 1, silently, when the reader closed stdout.
+No failed command but validate writes stdout.  Output is deterministic: ids
+are emitted in sorted order and rationals as exact "p/q" strings.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from . import birational, essential, modify, skeleton
 from .errors import DomainError, ModelFormatError, _echo
@@ -42,11 +44,11 @@ def _parse_tuple(model: SncdModel, stratum_id: str, text: str) -> dict[str, Frac
     return {v: parse_fraction(p) for v, p in zip(s.vertices, parts)}
 
 
-def _print_subcomplex(sub: essential.Subcomplex, model: SncdModel, prefix: str = ""):
+def _subcomplex(sub: essential.Subcomplex, model: SncdModel) -> str:
     ids = ",".join(sorted(sub.strata))
     connected = essential.is_connected(model, sub)
     tail = "true" if connected else ("false (empty)" if sub.empty else "false")
-    print(f"{prefix}strata={{{ids}}}; connected={tail}")
+    return f"strata={{{ids}}}; connected={tail}\n"
 
 
 def _data(c: PrimeComponent) -> str:
@@ -54,54 +56,45 @@ def _data(c: PrimeComponent) -> str:
     return f"N={format_fraction(c.N)}, mu={format_fraction(c.mu)}"
 
 
-def _write(text: str, out_path, summary: Optional[str] = None) -> int:
-    """Write a document to stdout, or to out_path and print the summary; the exit code."""
+def _document(text: str, out_path, summary: str = "") -> str:
+    """The document itself, or, once it is written to out_path, the summary."""
     if not out_path:
-        sys.stdout.write(text)
-        return 0
-    try:
-        Path(out_path).write_text(text)
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
-    if summary is not None:
-        print(summary)
-    return 0
+        return text
+    Path(out_path).write_text(text)  # main reports an OSError
+    return summary
 
 
-def cmd_info(model: SncdModel, args) -> int:
-    print(f"kind: {model.kind}")
-    print(f"m: {model.m}")
-    print(f"ambient_dim: {model.ambient_dim}")
-    print(f"components: {len(model.components)}")
-    print(f"strata: {len(model.strata)}")
-    for c in model.components:
-        print(f"  {c.id}: N={c.N} mu={c.mu}")
-    return 0
+def cmd_info(model: SncdModel, args) -> str:
+    lines = [
+        f"kind: {model.kind}",
+        f"m: {model.m}",
+        f"ambient_dim: {model.ambient_dim}",
+        f"components: {len(model.components)}",
+        f"strata: {len(model.strata)}",
+    ]
+    lines += (f"  {c.id}: N={c.N} mu={c.mu}" for c in model.components)
+    return "\n".join(lines) + "\n"
 
 
-def cmd_weight(model: SncdModel, args) -> int:
+def cmd_weight(model: SncdModel, args) -> str:
     alpha = _parse_tuple(model, args.stratum, args.alpha)
     x = skeleton.SkeletonPoint(args.stratum, alpha)
-    print(format_fraction(skeleton.weight(model, x)))
-    return 0
+    return format_fraction(skeleton.weight(model, x)) + "\n"
 
 
-def cmd_retract(model: SncdModel, args) -> int:
+def cmd_retract(model: SncdModel, args) -> str:
     values = _parse_tuple(model, args.stratum, args.values)
     x = skeleton.retract(model, skeleton.PointSpec(args.stratum, values))
     s = model.stratum(x.stratum)
     pairs = ",".join(f"{v}={format_fraction(x.alpha[v])}" for v in s.vertices)
-    print(f"stratum={x.stratum}; alpha={pairs}")
-    return 0
+    return f"stratum={x.stratum}; alpha={pairs}\n"
 
 
-def cmd_classify(model: SncdModel, args) -> int:
-    print(skeleton.classify_face(model, args.stratum))
-    return 0
+def cmd_classify(model: SncdModel, args) -> str:
+    return skeleton.classify_face(model, args.stratum) + "\n"
 
 
-def cmd_blowup(model: SncdModel, args) -> int:
+def cmd_blowup(model: SncdModel, args) -> str:
     if args.stratum and args.point:
         raise DomainError("choose either --stratum or --point, not both")
     if args.stratum:
@@ -116,11 +109,11 @@ def cmd_blowup(model: SncdModel, args) -> int:
         out, e_id, _ = modify.blowup_point(model, stratum_id, center, codim)
     else:
         raise DomainError("blowup needs --stratum or --point")
-    summary = f"new vertex: {e_id} ({_data(out.component(e_id))})"
-    return _write(serialize_model(out), args.output, summary)
+    summary = f"new vertex: {e_id} ({_data(out.component(e_id))})\n"
+    return _document(serialize_model(out), args.output, summary)
 
 
-def cmd_reduce(model: SncdModel, args) -> int:
+def cmd_reduce(model: SncdModel, args) -> str:
     alpha = _parse_tuple(model, args.stratum, args.alpha)
     x = skeleton.SkeletonPoint(args.stratum, alpha)
     skeleton.check_point(model, x)  # the count needs positive coordinates
@@ -137,41 +130,36 @@ def cmd_reduce(model: SncdModel, args) -> int:
         for k, step in enumerate(trace.steps, start=1)
     ]
     lines.append(f"final: {comp_id} ({_data(final.component(comp_id))})")
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_ks(model: SncdModel, args) -> int:
+def cmd_ks(model: SncdModel, args) -> str:
     form = load_form(args.form) if args.form else None
     lo, sub = essential.minimal_skeleton(model, form)
-    _print_subcomplex(sub, model, prefix=f"min={format_fraction(lo)}; ")
-    return 0
+    return f"min={format_fraction(lo)}; " + _subcomplex(sub, model)
 
 
-def cmd_essential(model: SncdModel, args) -> int:
+def cmd_essential(model: SncdModel, args) -> str:
     forms = [load_form(p) for p in args.form]
-    sub = essential.essential_skeleton(model, forms)
-    _print_subcomplex(sub, model)
-    return 0
+    return _subcomplex(essential.essential_skeleton(model, forms), model)
 
 
-def cmd_lct(model: SncdModel, args) -> int:
+def cmd_lct(model: SncdModel, args) -> str:
     threshold, pair = birational.threshold_locus(model)
     ids = ",".join(sorted(pair.strata))
-    print(f"lct={format_fraction(threshold)}; sk_pair={{{ids}}}")
-    return 0
+    return f"lct={format_fraction(threshold)}; sk_pair={{{ids}}}\n"
 
 
-def cmd_report(model: SncdModel, args) -> int:
-    for block, ok in birational.connectedness_report(model):
-        ids = ",".join(sorted(block))
-        print(f"component {{{ids}}}: threshold locus connected={str(ok).lower()}")
-    return 0
+def cmd_report(model: SncdModel, args) -> str:
+    return "".join(
+        f"component {{{','.join(sorted(block))}}}: threshold locus connected={str(ok).lower()}\n"
+        for block, ok in birational.connectedness_report(model)
+    )
 
 
-def cmd_export(model: SncdModel, args) -> int:
+def cmd_export(model: SncdModel, args) -> str:
     text = serialize_model(model) if args.format == "structured" else _to_dot(model)
-    return _write(text, args.output)
+    return _document(text, args.output)
 
 
 def _to_dot(model: SncdModel) -> str:
@@ -267,21 +255,36 @@ def main(argv=None) -> int:
         model = load_model(args.model)
         report = validate(model)
         if args.command == "validate":  # the report is the output
-            print(report)
-            return 0 if report.ok else 1
-        if not report.ok:
+            text, status = f"{report}\n", (0 if report.ok else 1)
+        elif not report.ok:
             raise DomainError(f"{args.model} is not a valid model:\n{report}")
-        return args.fn(model, args)
+        else:
+            text, status = args.fn(model, args), 0
     except ModelFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an -o path; the loaders raise theirs as ModelFormatError
+        print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    try:
+        sys.stdout.write(text)  # encoded whole before any of it is written
+    except UnicodeEncodeError as exc:
+        print(f"error: stdout's encoding {exc.encoding} cannot hold the output", file=sys.stderr)
+        return 1
+    return status
 
 
 def main_entry():
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; keep the exit's flush silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

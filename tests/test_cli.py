@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
 import random
 import re
 import subprocess
@@ -486,6 +487,51 @@ def test_console_script_entry():
     assert proc.stdout == "lct=5/6; sk_pair={v_E3}\n"
 
 
+def _child(argv, **env):
+    """`python -m skelkit.cli argv` on the skelkit under test, its stdout and stderr piped."""
+    src = str(Path(sk.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "skelkit.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": pythonpath, **env})
+
+
+@pytest.mark.parametrize("argv", [
+    ["info"], ["validate"], ["reduce", "--stratum", "e_A_B", "--alpha", "1/5,1/5"],
+])
+def test_a_closed_stdout_exits_1_without_a_message(argv):
+    # the read end is closed before the child has started, so its one write meets a broken pipe
+    proc = _child([argv[0], path("edge_23"), *argv[1:]])
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
+
+
+def test_output_stdout_cannot_encode_exits_1_and_writes_nothing(tmp_path):
+    umlaut = tmp_path / "umlaut.model"
+    umlaut.write_text(bundled_path("edge_23").read_text().replace('"A"', '"\u00c4"'),
+                      encoding="utf-8")
+    proc = _child(["info", str(umlaut)], PYTHONIOENCODING="ascii")
+    out, err = proc.communicate()
+    assert (proc.returncode, out) == (1, b"")
+    assert err == b"error: stdout's encoding ascii cannot hold the output\n"
+    # the structured document escapes every non-ASCII character
+    proc = _child(["export", str(umlaut), "--format", "structured"], PYTHONIOENCODING="ascii")
+    out, err = proc.communicate()
+    assert (proc.returncode, err) == (0, b"")
+    assert sk.parse_model(out.decode("ascii")).component("\u00c4").N == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["blowup", "--stratum", "e_A_B"], ["export"], ["export", "--format", "structured"],
+])
+def test_an_unwritable_output_path_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    target = str(tmp_path / "missing" / "out.model")
+    assert run(capsys, argv[0], path("edge_23"), *argv[1:], "-o", target) == (
+        2, "", f"error: cannot write {target}: No such file or directory\n")
+
+
 def _n_zero(model):
     first, *rest = model.components
     return model.replace(components=(first.replace(N=0), *rest))
@@ -616,6 +662,8 @@ def test_every_subcommand_survives_mutated_input(
             mutated = mutate(argv, workdir)
             code, out, err = run_cli([subst.get(a, a) for a in mutated])
             assert code in (0, 1, 2) and "Traceback" not in err, f"{label}: {err}"
+            if code != 0 and label != "validate":  # validate reports violations on stdout
+                assert out == "", label
             if broken or mutated != argv:
                 assert code != 0, label
             if form_mutation and label in ("ks-form", "essential"):

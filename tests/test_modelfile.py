@@ -239,6 +239,28 @@ def test_each_module_imports_only_lower_ranks():
         assert not above, (name, above)
 
 
+def _owned(node, owner=None):
+    """Every node below node, with the name of the innermost function holding it."""
+    for child in ast.iter_child_nodes(node):
+        yield child, owner
+        yield from _owned(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+
+def test_only_cli_main_writes_stdout():
+    # every print goes to stderr, and stdout is named only where the CLI writes its output
+    package = Path(__file__).resolve().parents[1] / "src" / "skelkit"
+    for path in package.glob("*.py"):
+        for node, owner in _owned(ast.parse(path.read_text())):
+            where = (path.name, owner, getattr(node, "lineno", None))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                files = [ast.unparse(k.value) for k in node.keywords if k.arg == "file"]
+                assert files == ["sys.stderr"], where
+            if isinstance(node, ast.Attribute) and node.attr in ("stdout", "__stdout__"):
+                assert (path.stem, owner) in {("cli", "main"), ("cli", "main_entry")}, where
+            if isinstance(node, ast.alias):
+                assert node.name not in ("stdout", "__stdout__"), where
+
+
 # math functions of integers only; any other would bring a float into the arithmetic
 _INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
 
