@@ -4,7 +4,8 @@ Each command returns its output; `main` writes it to stdout in one statement
 and picks the exit status: 0 on success; 1 when the mathematics rejects the
 request (validation failures, domain errors) or stdout's encoding cannot hold
 the output; 2 when a document cannot be read or parsed or an -o path cannot
-be written.  `main_entry` exits 1, silently, when the reader closed stdout.
+be written.  `--help` is output too, written the same way.  `main_entry` exits
+1, silently, when the reader closed stdout.
 No failed command but validate writes stdout.  Output is deterministic: ids
 are emitted in sorted order and rationals as exact "p/q" strings.
 """
@@ -12,8 +13,10 @@ are emitted in sorted order and rationals as exact "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -250,8 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    usage = io.StringIO()
     try:
+        with redirect_stdout(usage):  # --help's text is output, written below like any other
+            args = build_parser().parse_args(argv)
         model = load_model(args.model)
         report = validate(model)
         if args.command == "validate":  # the report is the output
@@ -260,6 +265,8 @@ def main(argv=None) -> int:
             raise DomainError(f"{args.model} is not a valid model:\n{report}")
         else:
             text, status = args.fn(model, args), 0
+    except SystemExit as exc:  # from the parser: --help (0) or a usage error (2, on stderr)
+        text, status = usage.getvalue(), exc.code
     except ModelFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

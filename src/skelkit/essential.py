@@ -11,14 +11,15 @@ no modification can shrink.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from ._record import Record
 from .errors import DomainError, _ids
 from .model import (
-    FormData, PrimeComponent, SncdModel, Stratum, ValidationReport, Violation,
-    _bends, _degree_violations, _face_edges, _flag_break, _multiplicity, cofaces,
-    connected_components,
+    CODE_FLAG_MONOTONICITY, FormData, PrimeComponent, SncdModel, Stratum, ValidationReport,
+    Violation, _bends, _by_id, _degree_violations, _face_edges, _flag_break, _multiplicity,
+    cofaces, connected_components,
 )
 
 
@@ -57,10 +58,11 @@ def _check_form(model: SncdModel, form: FormData):
     out = list(_degree_violations(model.kind, form.m))  # what validate reports, in its order
     flags = (("touches_zero", form.touches_zero), ("touches_pole", form.touches_pole))
     if any(any(on.values()) for _, on in flags):  # with every flag off there is no break
-        for sid, tid in _face_edges(model, model._strata_by_id):
-            for flag, on in flags:
-                if on.get(tid) and not on.get(sid):
-                    out.append(Violation("flag monotonicity", _flag_break(sid, flag, tid)))
+        for sid, faces in _face_edges(model, model._strata_by_id):
+            for tid in faces:
+                for flag, on in flags:
+                    if on.get(tid) and not on.get(sid):
+                        out.append(Violation(CODE_FLAG_MONOTONICITY, _flag_break(sid, flag, tid)))
     if out:
         raise DomainError(f"form data breaks the model: {ValidationReport(tuple(out))}")
 
@@ -93,11 +95,9 @@ def _flagged(model: SncdModel, form: Optional[FormData], flag: str) -> set[str]:
     """
     if form is not None:
         return {sid for sid, on in getattr(form, flag).items() if on}
-    out = set()
-    for s in model.strata:
-        if getattr(s, flag):
-            out.add(s.id)
-        elif s.horizontal is not None and _bends(s, flag):
+    out = set(map(_by_id, filter(attrgetter(flag), model.strata)))
+    for s in filter(attrgetter("horizontal"), model.strata):  # those with expansion data
+        if not getattr(s, flag) and _bends(s, flag):
             out.update(cofaces(model, s.id))
     return out
 
@@ -144,17 +144,15 @@ def minimal_skeleton(
     lo = min_weight(model, form)
     mu = {c.id: c.mu for c in model.components} if form is None else form.mu
     zero = _flagged(model, form, "touches_zero")
-    # mu / N == lo, cross-multiplied: min_weight has checked every N >= 1
-    minimal = {
-        c.id for c in model.components if mu[c.id] * lo.denominator == lo.numerator * c.N
-    }
+    # mu / N == p / q, cross-multiplied: min_weight has checked every N >= 1
+    p, q = lo.as_integer_ratio()
+    minimal = {c.id for c in model.components if mu[c.id] * q == p * c.N}
     # face-closed without a walk: a face keeps the vertex test, and the zero set,
     # closed upward (flags checked monotone by _check_form or validate, bends with
     # their cofaces), keeps it off the zero locus
-    chosen = frozenset(
-        s.id for s in model.strata
-        if s.id not in zero and all(v in minimal for v in s.vertices)
-    )
+    chosen = frozenset({
+        s.id for s in model.strata if s.id not in zero and minimal.issuperset(s.vertices)
+    })
     return lo, Subcomplex(chosen)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import cached_property
+from itertools import filterfalse
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
@@ -26,6 +27,21 @@ from .series import _antichain
 KIND_SNCD = "sncd-over-dvr"
 KIND_LOG_RESOLUTION = "log-resolution"
 KNOWN_KINDS = (KIND_SNCD, KIND_LOG_RESOLUTION)
+
+# the stable codes of validate's violations
+CODE_KIND = "kind"
+CODE_FORM_DEGREE = "form-degree"
+CODE_AMBIENT_DIM = "ambient-dim"
+CODE_DUPLICATE_ID = "duplicate-id"
+CODE_COMPONENT_MULTIPLICITY = "component-multiplicity"
+CODE_MISSING_SINGLETON = "missing-singleton"
+CODE_STRATUM_SIZE = "stratum-size"
+CODE_UNKNOWN_COMPONENT = "unknown-component"
+CODE_FACE_MAP_MISMATCH = "face-map mismatch"
+CODE_FACE_MAP_MISSING = "face-map-missing"
+CODE_FLAG_MONOTONICITY = "flag monotonicity"
+CODE_SIMPLICIAL_IDENTITY = "simplicial-identity"
+CODE_HORIZONTAL_CONSISTENCY = "horizontal-consistency"
 
 _by_id = attrgetter("id")
 
@@ -324,31 +340,38 @@ def connected_components(
             a = parent[a]
         return a
 
-    for sid, fid in _face_edges(model, ids):
-        parent[find(fid)] = find(sid)
-    blocks: dict[str, set[str]] = {}
+    for sid, faces in _face_edges(model, ids):
+        root = find(sid)
+        for fid in faces:
+            a = parent[fid]
+            if parent[a] != a:  # a call only when the face is two steps or more below its root
+                a = find(a)
+            if a != root:
+                parent[a] = root
+    blocks: dict[str, list[str]] = {}
     for sid in ids:
-        blocks.setdefault(find(sid), set()).add(sid)
-    return sorted((frozenset(b) for b in blocks.values()), key=lambda b: min(b))
+        blocks.setdefault(find(sid), []).append(sid)
+    return sorted(map(frozenset, blocks.values()), key=min)
 
 
-def _face_edges(model: SncdModel, ids) -> Iterator[tuple[str, str]]:
-    """(stratum, face) for every face map of a stratum set; raises unless face-closed.
+def _face_edges(model: SncdModel, ids) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """(stratum, its faces in vertex order) over a stratum set; raises unless face-closed.
 
-    `ids` is a set or a dict keyed by stratum id.
+    `ids` is a set or a dict keyed by stratum id.  Strata of one vertex are skipped.
     """
+    strata = model._strata_by_id
     for sid in ids:
-        s = model.stratum(sid)
-        if s.r < 2:
+        s = strata.get(sid) or model.stratum(sid)  # the latter raises the unknown id's error
+        if len(s.vertices) < 2:
             continue
-        for v in s.vertices:
-            fid = s.face_map.get(v)
+        faces = tuple(map(s.face_map.get, s.vertices))
+        for fid in faces:
             if fid not in ids:
                 raise DomainError(
                     f"stratum set is not face-closed: {sid!r} is included but "
                     f"its face {fid!r} is not"
                 )
-            yield sid, fid
+        yield sid, faces
 
 
 def validate(model: SncdModel) -> ValidationReport:
@@ -365,46 +388,48 @@ def validate(model: SncdModel) -> ValidationReport:
         out.append(Violation(code, message))
 
     if model.kind not in KNOWN_KINDS:
-        add("kind", f"unknown kind {model.kind!r}")
+        add(CODE_KIND, f"unknown kind {model.kind!r}")
     out += _degree_violations(model.kind, model.m)
     if model.ambient_dim < 1:
-        add("ambient-dim", f"ambient_dim must be >= 1, got {model.ambient_dim}")
+        add(CODE_AMBIENT_DIM, f"ambient_dim must be >= 1, got {model.ambient_dim}")
     for what, items in (("component", model.components), ("stratum", model.strata)):
-        for xid, count in Counter(x.id for x in items).items():
+        for xid, count in Counter(map(_by_id, items)).items():
             if count > 1:
-                add("duplicate-id", f"{what} id {xid!r} repeated")
+                add(CODE_DUPLICATE_ID, f"{what} id {xid!r} repeated")
     singletons = {s.vertices[0] for s in model.strata if len(s.vertices) == 1}
     for c in model.components:
         if c.N < 1:
-            add("component-multiplicity", f"component {c.id!r} has N = {c.N} < 1")
+            add(CODE_COMPONENT_MULTIPLICITY, f"component {c.id!r} has N = {c.N} < 1")
         if c.id not in singletons:
-            add("missing-singleton", f"component {c.id!r} has no vertex stratum")
+            add(CODE_MISSING_SINGLETON, f"component {c.id!r} has no vertex stratum")
     comps = model._components_by_id
     for s in model.strata:
-        vs, r = s.vertices, len(s.vertices)
-        unknown = [v for v in vs if v not in comps]
+        vs, r, vset = s.vertices, len(s.vertices), set(s.vertices)
+        known = comps.keys() >= vset
         if not r:
-            add("stratum-size", f"stratum {s.id!r} has no vertices")
+            add(CODE_STRATUM_SIZE, f"stratum {s.id!r} has no vertices")
         else:
-            if len(set(vs)) != r:
-                add("stratum-size", f"stratum {s.id!r} repeats a vertex")
+            if len(vset) != r:
+                add(CODE_STRATUM_SIZE, f"stratum {s.id!r} repeats a vertex")
             if r > model.ambient_dim:
                 add(
-                    "stratum-size",
+                    CODE_STRATUM_SIZE,
                     f"stratum {s.id!r} has {r} vertices, "
                     f"more than ambient_dim = {model.ambient_dim}",
                 )
-            for v in unknown:
-                add("unknown-component", f"stratum {s.id!r} uses unknown component {v!r}")
-            if not unknown:
-                for v in sorted(s.face_map.keys() - set(vs)):
-                    add("face-map mismatch", f"stratum {s.id!r} maps non-vertex {v!r}")
-        if not unknown and r >= 2:
-            _check_faces(model, s, add)
+            if not known:
+                for v in filterfalse(comps.__contains__, vs):
+                    add(CODE_UNKNOWN_COMPONENT, f"stratum {s.id!r} uses unknown component {v!r}")
+            elif not s.face_map.keys() <= vset:
+                for v in sorted(s.face_map.keys() - vset):
+                    add(CODE_FACE_MAP_MISMATCH, f"stratum {s.id!r} maps non-vertex {v!r}")
+        if known and r >= 2:
+            _check_faces(model, s, add, len(vset) != r)
         h = s.horizontal
         if h is not None and model.kind == KIND_LOG_RESOLUTION:
-            add("kind", f"stratum {s.id!r} has expansion data, which log-resolution models lack")
-        if unknown or h is None:
+            add(CODE_KIND,
+                f"stratum {s.id!r} has expansion data, which log-resolution models lack")
+        if not known or h is None:
             continue
         for j, v in enumerate(vs):
             lo_num = min(beta[j] for beta in h.num.exponents)
@@ -412,7 +437,7 @@ def validate(model: SncdModel) -> ValidationReport:
             expected = comps[v].mu - model.m
             if lo_num - lo_den != expected:
                 add(
-                    "horizontal-consistency",
+                    CODE_HORIZONTAL_CONSISTENCY,
                     f"stratum {s.id!r}, vertex {v!r}: expansion orders give "
                     f"{lo_num} - {lo_den}, declared weight datum needs {expected}",
                 )
@@ -422,9 +447,9 @@ def validate(model: SncdModel) -> ValidationReport:
 def _degree_violations(kind: str, m: int) -> Iterator[Violation]:
     """What validate reports on a form degree m over a model of the given kind."""
     if m < 1:
-        yield Violation("form-degree", f"m must be >= 1, got {m}")
+        yield Violation(CODE_FORM_DEGREE, f"m must be >= 1, got {m}")
     if kind == KIND_LOG_RESOLUTION and m != 1:
-        yield Violation("kind", f"log-resolution models fix m = 1, got m = {m}")
+        yield Violation(CODE_KIND, f"log-resolution models fix m = 1, got m = {m}")
 
 
 def _flag_break(sid: str, flag: str, tid: str) -> str:
@@ -432,46 +457,49 @@ def _flag_break(sid: str, flag: str, tid: str) -> str:
     return f"stratum {sid!r} has {flag} off but its face {tid!r} has it on"
 
 
-def _check_faces(model: SncdModel, s: Stratum, add: Callable[[str, str], None]):
+def _check_faces(model: SncdModel, s: Stratum, add: Callable[[str, str], None], repeats: bool):
     """validate on the face-map edges s --v--> t of a stratum of two or more vertices.
 
     Each face t is looked up once and checked for its vertex set, both flags
     and, with the other faces, the simplicial identity.  Keys that are not
-    vertices are no edges; validate reports them on their own.
+    vertices are no edges; validate reports them on their own.  Where a vertex
+    `repeats`, the face at v should drop v at each of its places.
     """
+    vs, fm, strata = s.vertices, s.face_map, model._strata_by_id
     below = {}  # vertex -> face map of the face without it, unless that is a vertex
-    for v in s.vertices:
-        tid, rest = s.face_map.get(v), tuple(x for x in s.vertices if x != v)
-        t = model._strata_by_id.get(tid)
-        if v not in s.face_map:
+    for i, v in enumerate(vs):
+        t = strata.get(tid := fm.get(v))
+        if v not in fm:
             add(
-                "face-map-missing",
+                CODE_FACE_MAP_MISSING,
                 f"stratum {s.id!r} lacks a face map entry for vertex {v!r}",
             )
         elif t is None:
             add(
-                "face-map mismatch",
+                CODE_FACE_MAP_MISMATCH,
                 f"stratum {s.id!r}: face at {v!r} points to unknown stratum {tid!r}",
             )
         else:
-            for flag in ("touches_zero", "touches_pole"):
-                if getattr(t, flag) and not getattr(s, flag):
-                    add("flag monotonicity", _flag_break(s.id, flag, tid))
+            if t.touches_zero and not s.touches_zero:
+                add(CODE_FLAG_MONOTONICITY, _flag_break(s.id, "touches_zero", tid))
+            if t.touches_pole and not s.touches_pole:
+                add(CODE_FLAG_MONOTONICITY, _flag_break(s.id, "touches_pole", tid))
+            rest = tuple(x for x in vs if x != v) if repeats else vs[:i] + vs[i + 1 :]
             if rest != t.vertices:
                 add(
-                    "face-map mismatch",
+                    CODE_FACE_MAP_MISMATCH,
                     f"stratum {s.id!r}: face at {v!r} should carry vertices "
                     f"{rest}, but {t.id!r} carries {t.vertices}",
                 )
             if len(t.vertices) != 1:
                 below[v] = t.face_map
-    down = [v for v in s.vertices if v in below]
+    down = list(filter(below.__contains__, vs))
     for i, v in enumerate(down):
         for w in down[i + 1 :]:
             a, b = below[v].get(w), below[w].get(v)
             if a is not None and b is not None and a != b:
                 add(
-                    "simplicial-identity",
+                    CODE_SIMPLICIAL_IDENTITY,
                     f"stratum {s.id!r}: removing {v!r} then {w!r} gives "
                     f"{a!r}, the other order gives {b!r}",
                 )

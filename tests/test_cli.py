@@ -508,6 +508,20 @@ def test_a_closed_stdout_exits_1_without_a_message(argv):
     assert (proc.wait(), err) == (1, b"")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["info", "--help"]])
+def test_help_into_a_closed_stdout_exits_1_without_a_message(argv):
+    proc = _child(argv)
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
+
+
+def test_help_is_written_to_stdout_and_exits_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: ")
+
+
 def test_output_stdout_cannot_encode_exits_1_and_writes_nothing(tmp_path):
     umlaut = tmp_path / "umlaut.model"
     umlaut.write_text(bundled_path("edge_23").read_text().replace('"A"', '"\u00c4"'),

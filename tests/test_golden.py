@@ -4,7 +4,11 @@ tests/golden/<model>.json maps a run label to its argument list, exit
 code, stdout and stderr.  In the stored argument lists the model path is
 written `{model}` and the two generated form files `{form0}`/`{form1}`.
 They pin the command line's output across refactors of the library.
-Regenerate them only for an intended output change:
+tests/golden/broken_strata.model is reduced_fiber broken on ten strata and
+one component; broken_strata.json pins `skelkit validate`'s whole report on
+it, so the order of the violations is pinned too, not only their multiset;
+the script below leaves it as it is.  Regenerate the others only for an
+intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -36,6 +40,13 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert list(fresh) == list(stored)
     for label in stored:
         assert fresh[label] == stored[label], f"{name}: {label}"
+
+
+def test_validate_report_on_broken_strata_matches_golden():
+    stored = json.loads((GOLDEN / "broken_strata.json").read_text())["validate"]
+    code, out, err = run_cli(["validate", str(GOLDEN / "broken_strata.model")])
+    assert {"exit": code, "stdout": out, "stderr": err} == {
+        k: stored[k] for k in ("exit", "stdout", "stderr")}
 
 
 if __name__ == "__main__":

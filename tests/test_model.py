@@ -1,11 +1,13 @@
 """Structure of models: faces, maximality, connectivity, validation."""
 
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import skelkit as sk
+import skelkit.model
 from skelkit.model import Violation
 from conftest import random_complex_model, random_graph_model
 
@@ -177,6 +179,19 @@ def test_validate_strata():
     assert "duplicate-id" in codes(dup)
 
 
+def test_a_repeated_vertex_is_dropped_everywhere_in_the_expected_face():
+    # the face at a vertex carries every other vertex, so a repeated vertex
+    # is dropped at each of its places, not only at the one being removed
+    m = sk.graph_model(sk.KIND_SNCD, 1, 3, [("A", "A", 1, 1), ("B", "B", 1, 1)], [("e", "A", "B")])
+    bad = m.replace(strata=tuple(
+        s.replace(vertices=("A", "B", "A")) if s.id == "e" else s for s in m.strata))
+    assert [(v.code, v.message) for v in sk.validate(bad).violations] == [
+        ("stratum-size", "stratum 'e' repeats a vertex"),
+        ("face-map mismatch",
+         "stratum 'e': face at 'B' should carry vertices ('A', 'A'), but 'v_A' carries ('A',)"),
+    ]
+
+
 def test_validate_face_maps():
     m = triangle()
 
@@ -337,6 +352,25 @@ def test_a_model_refuses_an_expansion_written_on_another_stratum():
     with pytest.raises(sk.DomainError, match="stratum 'e'"):
         sk.SncdModel(m.kind, m.m, m.ambient_dim, m.components,
                      [m.stratum("v_A"), m.stratum("v_B"), e.replace(horizontal=moved)])
+
+
+def test_the_violation_codes_are_published_in_model_only():
+    published = {k: v for k, v in vars(skelkit.model).items() if k.startswith("CODE_")}
+    assert published == {
+        "CODE_KIND": "kind", "CODE_FORM_DEGREE": "form-degree",
+        "CODE_AMBIENT_DIM": "ambient-dim", "CODE_DUPLICATE_ID": "duplicate-id",
+        "CODE_COMPONENT_MULTIPLICITY": "component-multiplicity",
+        "CODE_MISSING_SINGLETON": "missing-singleton", "CODE_STRATUM_SIZE": "stratum-size",
+        "CODE_UNKNOWN_COMPONENT": "unknown-component",
+        "CODE_FACE_MAP_MISMATCH": "face-map mismatch", "CODE_FACE_MAP_MISSING": "face-map-missing",
+        "CODE_FLAG_MONOTONICITY": "flag monotonicity",
+        "CODE_SIMPLICIAL_IDENTITY": "simplicial-identity",
+        "CODE_HORIZONTAL_CONSISTENCY": "horizontal-consistency",
+    }
+    assert not set(published) & set(sk.__all__)
+    # a model broken on ten strata reports only published codes
+    golden = Path(__file__).resolve().parent / "golden" / "broken_strata.model"
+    assert codes(sk.parse_model(golden.read_text())) <= set(published.values())
 
 
 def test_violation_and_report_formatting():

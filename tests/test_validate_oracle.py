@@ -3,7 +3,8 @@
 Each example takes a bundled model or a random `complexes` model, breaks
 it a few times (face maps, flags, multiplicities, degree, strata, ids,
 vertices, expansion data) and requires the one-walk `validate` to report
-the same multiset of (code, message) pairs as the reference.
+the same multiset of (code, message) pairs as the reference, grouped by
+stratum in model order after the model- and component-level violations.
 """
 
 import random
@@ -178,6 +179,31 @@ def test_validate_matches_the_four_pass_reference(rng, mutations):
     assert _violations(sk.validate(model)) == _violations(validate_by_passes(model))
 
 
+def _stratum_rank(model, violation):
+    """0 for a model- or component-level violation, else 1 + the index of the
+    first stratum, in model order, whose id the message opens with."""
+    for i, s in enumerate(model.strata):
+        if violation.message.startswith(tuple(f"stratum {s.id!r}{c}" for c in " :,")):
+            return 1 + i
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.lists(st.sampled_from(MUTATIONS), max_size=4))
+def test_the_report_comes_grouped_by_stratum_in_model_order(rng, mutations):
+    """Model- and component-level violations first, then each stratum's together,
+    the strata in model order; the multiset comparison above cannot see the order."""
+    model = _base(rng)
+    for mutate in mutations:
+        model = mutate(rng, model)
+    assert _grouped_by_stratum(model, sk.validate(model))
+
+
+def _grouped_by_stratum(model, report):
+    ranks = [_stratum_rank(model, v) for v in report.violations]
+    return ranks == sorted(ranks)
+
+
 # small bases make a chain's second mutation likely to hit what the first one touched
 PAIR_BASES = {
     **{name: BUNDLED[name] for name in ("edge_23", "node", "kodaira_I2", "cusp")},
@@ -195,5 +221,8 @@ def test_every_ordered_pair_of_mutations_matches_the_reference():
                 for draw in range(PAIR_DRAWS):
                     rng = random.Random(f"{first.__name__}:{second.__name__}:{name}:{draw}")
                     model = second(rng, first(rng, base))
-                    assert _violations(sk.validate(model)) == _violations(
-                        validate_by_passes(model)), (first.__name__, second.__name__, name, draw)
+                    report = sk.validate(model)
+                    assert _violations(report) == _violations(validate_by_passes(model)), (
+                        first.__name__, second.__name__, name, draw)
+                    assert _grouped_by_stratum(model, report), (
+                        first.__name__, second.__name__, name, draw)
