@@ -6,11 +6,13 @@ which stores each field through its slot descriptor, and what
 `@dataclass(frozen=True)` would generate: equality between records of one
 type, hashing, the repr, immutability, pickling and `replace`.  A record
 that converts or checks its input ends its own `__init__` in one
-`Record.__init__` call.  `dataclasses.fields` and `dataclasses.replace`
+`Record.__init__` call; `_unchecked` gives a builder of trusted values
+past the constructor.  `dataclasses.fields` and `dataclasses.replace`
 accept records too, through a field table `dataclasses` builds on first access.
 """
 
 from copy import copy
+from functools import partial
 from operator import attrgetter
 
 
@@ -60,6 +62,20 @@ class Record:
         for value in values:  # indexing is cheaper than unpacking zip's pairs
             stores[i](self, value)
             i += 1
+
+    @classmethod
+    def _unchecked(cls):
+        """A builder from every field's value, in order, that converts and checks nothing."""
+        new, stores = partial(object.__new__, cls), cls._stores
+
+        def build(*values):
+            record, i = new(), 0
+            for value in values:
+                stores[i](record, value)
+                i += 1
+            return record
+
+        return build
 
     @classmethod
     def _bind(cls, values: tuple, named: dict) -> list:

@@ -122,9 +122,9 @@ class SncdModel(Record):
 
     Components and strata are stored sorted by id so that equal models
     compare equal and serialization is deterministic regardless of
-    construction order.  Building one raises DomainError, naming the stratum,
-    unless each expansion is written on its stratum's id and vertices, in
-    their order.  The instance dict holds the lazy id maps and coface index.
+    construction order.  Building one raises DomainError, naming the stratum, unless
+    its vertices are a tuple and its expansion is written on its id and vertices,
+    in their order.  The instance dict holds the lazy id maps and coface index.
     """
 
     __slots__ = ("kind", "m", "ambient_dim", "components", "strata", "__dict__")
@@ -135,6 +135,8 @@ class SncdModel(Record):
     ):
         components, strata = sorted(components, key=_by_id), sorted(strata, key=_by_id)
         for s in strata:
+            if not isinstance(s.vertices, tuple):
+                raise DomainError(f"stratum {s.id!r}: its vertices must be a tuple")
             if s.horizontal is not None:
                 f = s.horizontal.num  # SeriesPair ties den to num
                 if f.stratum != s.id or f.vertices != s.vertices:
@@ -302,16 +304,16 @@ class _Complex:
 
         Coface sets emptied by the swap stay in the index.
         """
-        N_e = sum(self.component(v).N for v in center)
+        N_e = sum([c.N for c in map(self.component, center)])
         self._components_by_id[e_id] = PrimeComponent(e_id, e_id, N_e, mu_e)
         strata, index = self._strata_by_id, self._coface_index
         for sid in removed:
             for fid in strata.pop(sid).face_map.values():
                 index[fid].discard(sid)
         for s in added:
-            strata[s.id] = s
+            strata[sid := s.id] = s
             for fid in s.face_map.values():
-                index[fid].add(s.id)
+                index[fid].add(sid)
 
     def freeze(self) -> SncdModel:
         return SncdModel(

@@ -20,7 +20,8 @@ weight and its component valuations intact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, count
+from functools import cache
+from itertools import combinations, count, repeat
 from math import lcm
 
 from ._record import Record
@@ -28,6 +29,8 @@ from .errors import DomainError, UnsupportedCenterError, _echo
 from .model import SncdModel, Stratum, _Complex, cofaces, face, is_maximal
 from .series import _pullback
 from .skeleton import SkeletonPoint, _weight_on, check_point, value_on_component
+
+_stratum = Stratum._unchecked()
 
 
 class BlowupStep(Record):
@@ -67,10 +70,9 @@ class BlowupTrace(Record):
 
     def extend(self, step: BlowupStep):
         self.steps.append(step)
-        e = step.new_vertex
+        e, center, zeros = step.new_vertex, step.center_vertices, repeat(0)
         for decomposition in self.pullback.values():
-            coeff = sum(decomposition.get(c, 0) for c in step.center_vertices)
-            if coeff:
+            if coeff := sum(map(decomposition.get, center, zeros)):
                 decomposition[e] = coeff
 
     def to_json(self):
@@ -91,25 +93,20 @@ def _exc_ids(model: SncdModel | _Complex):
     return (f"exc{k}" for k in count(1) if f"exc{k}" not in model._components_by_id)
 
 
-def _stratum_namer(model: SncdModel | _Complex, freed: frozenset[str] = frozenset()):
-    """Name new strata after their vertices, avoiding the ids still in use.
+@cache
+def _shape(n: int, largest: int) -> tuple:
+    """The subsets of at most `largest` of n positions, as `combinations` lists them.
 
-    In use are the model's stratum ids outside `freed` and every name
-    handed out so far.
+    Per subset: its positions, each facet as (the position it drops, its table
+    index), and the subset plus its last dropped position, where its face is read,
+    as (table index, position); index len(table) stands for all n, which reads none.
     """
-    given: set[str] = set()
-    taken = model._strata_by_id
-
-    def name(vertices: tuple[str, ...]) -> str:
-        base = f"v_{vertices[0]}" if len(vertices) == 1 else "f_" + "_".join(vertices)
-        out, k = base, 1
-        while out in given or (out in taken and out not in freed):
-            k += 1
-            out = f"{base}~{k}"
-        given.add(out)
-        return out
-
-    return name
+    table = [P for k in range(largest + 1) for P in combinations(range(n), k)]
+    at = {P: i for i, P in enumerate(table)} | {tuple(range(n)): len(table)}
+    last = [max(set(range(n)).difference(P), default=None) for P in table]
+    return tuple((P, tuple((p, at[P[:i] + P[i + 1:]]) for i, p in enumerate(P)),
+                  None if x is None else at[tuple(sorted((*P, x)))], x)
+                 for P, x in zip(table, last))
 
 
 def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupStep:
@@ -121,11 +118,11 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupS
     outside J, so the update is local to the star.  A larger codim is a
     transverse generic center: nothing is removed, and the cone over
     sigma's faces on every subset A of J, J included, is glued on.  The
-    subsets are listed once per step, and each face on A + L is read by
-    walking the dropped vertices J - A through the working complex's face
-    maps: the walk `face` makes, without its argument checks.  A coface's
-    expansion, written on tau's vertices in their order, is pulled back by
-    one `_pullback` per coface, projected once per new stratum.
+    subsets come from a table of positions cached per shape; new strata are
+    named first, so face maps can point forward, and built from the largest
+    A down: the face on A + L is one face-map step from the face on A + L
+    plus the last vertex of J - A, the walk `face` makes without its checks.
+    A coface's expansion is pulled back by one `_pullback` per coface.
     """
     sigma = model.stratum(sigma_id)
     if codim < 2:
@@ -134,52 +131,56 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupS
             f"is an isomorphism and changes no complex"
         )
     J, strata, jacobian = sigma.vertices, model._strata_by_id, model.m * (codim - 1)
+    if len(set(J)) != len(J):
+        raise DomainError(f"stratum {sigma_id!r} repeats a vertex")
     if codim == len(J):  # the closure: its star goes, for cones over proper subsets
         removed = coface_ids = cofaces(model, sigma_id)
         largest = len(J) - 1
     else:  # a point center removes nothing and adds the cone over sigma
         removed, coface_ids, largest = [], [sigma_id], len(J)
-    fresh_name = _stratum_namer(model, frozenset(removed))
-    # each subset A of J with its facets (a, A - a) and the vertices J - A
-    table = [
-        (A, [(a, tuple(x for x in A if x != a)) for a in A], tuple(v for v in J if v not in A))
-        for k in range(largest + 1) for A in combinations(J, k)
-    ]
+    shape = _shape(len(J), largest)
+    subsets = [tuple([J[p] for p in P]) for P, _, _, _ in shape]
 
-    # name every replacement first so face maps can point forward; the new
-    # vertices keep tau's order so face tuples agree with old strata
-    replacements: dict[str, dict[tuple[str, ...], str]] = {}
-    vertices_of: dict[str, tuple[str, ...]] = {}
-    for tid in coface_ids:
-        tv, sub = strata[tid].vertices, {}
-        replacements[tid] = sub
-        for A, _, drop in table:
-            verts = (e_id, *[v for v in tv if v not in drop])
-            sub[A] = new_id = fresh_name(verts)
-            vertices_of[new_id] = verts
+    freed, given, named, replacements = set(removed), set(), {}, {}
+    for tid in coface_ids:  # in tau's vertex order, so face tuples agree with old strata
+        tv, names = strata[tid].vertices, []
+        verts_of = [(e_id, *A) if tv == J else (e_id, *[v for v in tv if v in A or v not in J])
+                    for A in subsets]
+        for verts in verts_of:  # ~2, ~3, ... while a stratum that stays or a new one has it
+            new_id = base = "f_" + "_".join(verts) if len(verts) > 1 else "v_" + e_id
+            k = 1
+            while new_id in given or (new_id in strata and new_id not in freed):
+                k += 1
+                new_id = f"{base}~{k}"
+            given.add(new_id)
+            names.append(new_id)
+        named[tid] = names, verts_of
+        replacements[tid] = dict(zip(subsets, names))
 
-    new_strata = []
+    new_strata, rows = [], len(shape) - 1
     for tid in coface_ids:
-        tau, mine = strata[tid], replacements[tid]
-        L = tuple(v for v in tau.vertices if v not in J)
+        tau, (names, verts_of) = strata[tid], named[tid]
+        zero, pole, fmap = tau.touches_zero, tau.touches_pole, tau.face_map
+        theirs = [(l, named[fmap[l]][0]) for l in tau.vertices if l not in J]
         if (h := tau.horizontal) is not None:  # written in tau's vertex order
             at = {v: i for i, v in enumerate(tau.vertices)}
-            pullback = _pullback(h, [at[j] for j in J], jacobian)
-        for A, facets, drop in table:
-            new_id = mine[A]
+            pullback, on_sigma = _pullback(h, [at[j] for j in J], jacobian), tau.vertices == J
+        faces = [tid] * (rows + 2)
+        for k in range(rows, -1, -1):  # each face is read off a larger subset's
+            P, facets, up, x = shape[k]
+            new_id, verts = names[k], verts_of[k]
             fm: dict[str, str] = {}
-            if A or L:
-                fid = tid
-                for v in drop:
-                    fid = strata[fid].face_map[v]
-                fm[e_id] = fid
-                for a, rest in facets:
-                    fm[a] = mine[rest]
-                for l in L:
-                    fm[l] = replacements[tau.face_map[l]][A]
-            verts = vertices_of[new_id]
-            pair = None if h is None else pullback(new_id, verts, [at[v] for v in verts[1:]])
-            new_strata.append(Stratum(new_id, verts, fm, tau.touches_zero, tau.touches_pole, pair))
+            if k or theirs:
+                if x is not None:
+                    faces[k] = strata[faces[up]].face_map[J[x]]
+                fm[e_id] = faces[k]
+                for a, i in facets:
+                    fm[J[a]] = names[i]
+                for l, them in theirs:
+                    fm[l] = them[k]
+            pair = None if h is None else pullback(
+                new_id, verts, P if on_sigma else [at[v] for v in verts[1:]])
+            new_strata.append(_stratum(new_id, verts, fm, zero, pole, pair))
 
     mu_e = _weight_on(model, sigma, dict.fromkeys(J, 1)) + model.m * (codim - len(J))
     model.add_vertex(e_id, J, mu_e, removed, new_strata)
@@ -271,18 +272,15 @@ def _apply_step(
     sub = step.replacements.get(stratum_id)
     if sub is None:
         return stratum_id, alpha
-    e = step.new_vertex
-    center = set(step.center_vertices)
-    a_min = min(alpha[j] for j in step.center_vertices)
-    A = tuple(j for j in step.center_vertices if alpha[j] > a_min)
-    new_alpha = {e: a_min}
+    J = step.center_vertices
+    a_min = min(map(alpha.__getitem__, J))
+    new_alpha = {step.new_vertex: a_min}
     for v, a in alpha.items():
-        if v in center:
-            if a > a_min:
-                new_alpha[v] = a - a_min
-        else:
+        if v not in J:
             new_alpha[v] = a
-    return sub[A], new_alpha
+        elif a > a_min:
+            new_alpha[v] = a - a_min
+    return sub[tuple([j for j in J if alpha[j] > a_min])], new_alpha
 
 
 def transfer_point(
@@ -349,12 +347,12 @@ def reduce_to_divisorial(
     trace = _new_trace(model)
     work = _Complex(model)
     stratum_id, alpha = x.stratum, _scaled(x.alpha)[1]
-    exc_ids = _exc_ids(work)
-    while (r := work.stratum(stratum_id).r) > 1:
+    exc_ids, strata = _exc_ids(work), work._strata_by_id  # the map add_vertex updates
+    while (r := len(strata[stratum_id].vertices)) > 1:
         step = _subdivide(work, stratum_id, next(exc_ids), r)
         trace.extend(step)
         stratum_id, alpha = _apply_step(step, stratum_id, alpha)
-    comp_id = work.stratum(stratum_id).vertices[0]
+    comp_id = strata[stratum_id].vertices[0]
     return work.freeze(), comp_id, trace
 
 

@@ -137,7 +137,8 @@ def _antichain(exponents) -> frozenset[tuple[int, ...]]:
     return frozenset(kept)
 
 
-_new, _store, _zeros = Record.__new__, Record.__init__, cache(lambda n: frozenset([(0,) * n]))
+_zeros = cache(lambda n: frozenset([(0,) * n]))
+_pair, _support = SeriesPair._unchecked(), Support._unchecked()
 
 
 def _pullback(h: SeriesPair, center_at, shift: int):
@@ -153,12 +154,10 @@ def _pullback(h: SeriesPair, center_at, shift: int):
         (sum([beta[p] for p in center_at]), beta) for beta in h.den.exponents]
 
     def onto(stratum: str, vertices: tuple[str, ...], keep_at) -> SeriesPair:
-        pair, n, d = _new(SeriesPair), _new(Support), _new(Support)
-        _store(n, stratum, vertices,
-               _antichain([(c, *[beta[p] for p in keep_at]) for c, beta in num]))
-        _store(d, stratum, vertices, _zeros(len(vertices)) if den is None else
-               _antichain([(c, *[beta[p] for p in keep_at]) for c, beta in den]))
-        _store(pair, n, d)
-        return pair
+        return _pair(
+            _support(stratum, vertices,
+                     _antichain([(c, *[beta[p] for p in keep_at]) for c, beta in num])),
+            _support(stratum, vertices, _zeros(len(vertices)) if den is None else
+                     _antichain([(c, *[beta[p] for p in keep_at]) for c, beta in den])))
 
     return onto

@@ -156,7 +156,7 @@ def _weight_on(model: SncdModel | _Complex, s: Stratum, alpha: dict):
     alpha is read once, in s's vertex order, which its model requires an expansion to follow."""
     h = s.horizontal
     if h is None:
-        return sum(alpha[v] * model.component(v).mu for v in s.vertices)
+        return sum([alpha[v] * model.component(v).mu for v in s.vertices])
     a = [alpha[v] for v in s.vertices]
     return _order(h.num.exponents, a) - _order(h.den.exponents, a) + model.m * sum(a)
 

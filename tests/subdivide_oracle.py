@@ -1,13 +1,17 @@
 """The blow-up kernel as `skelkit.modify` had it before each step's star came from per-step tables.
 
-`skelkit.modify._subdivide` lists the proper subsets of the center once
-per step and reads each exceptional face by walking the working
-complex's face maps.  This reference builds every replacement stratum
-one coface and one subset at a time, asks the public, argument-checking
-`face` for each exceptional face and tests each candidate name through
-`has_stratum`.  It runs on `Complex`, a working complex whose coface
-index is a plain dict filled through `setdefault`.  Both kernels, each
-on its own complex, must give equal steps, models and coface indexes.
+`skelkit.modify._subdivide` reads the subsets of the center, their
+facets and the vertices they drop off a table of positions cached per
+shape (|J| and the largest subset), names the new strata in its own
+loop, reads each exceptional face one face-map step below a larger
+subset's, and builds each new stratum through `Record._unchecked`, past
+the constructor's checks.  This reference builds every replacement
+stratum one coface and one subset at a time, asks the public,
+argument-checking `face` for each exceptional face and tests each
+candidate name through `has_stratum`.  It runs on `Complex`, a working
+complex whose coface index is a plain dict filled through `setdefault`.
+Both kernels, each on its own complex, must give equal steps, models
+and coface indexes.
 
 `blowup_point` is the earlier point blow-up, which built its cone with a
 builder of its own instead of going through the kernel; on a frozen

@@ -44,6 +44,20 @@ def test_lookup_errors():
         m.singleton("nope")
 
 
+def test_a_model_refuses_list_vertices():
+    # a stratum keeps what it is given; the model names the one whose vertices
+    # are not a tuple, before its expansion or validate's expected faces read them
+    m = sk.graph_model(sk.KIND_SNCD, 1, 2, [("A", "A", 2, 1), ("B", "B", 3, 2)],
+                       [("e", "A", "B")])
+    strata = tuple(s.replace(vertices=list(s.vertices)) for s in m.strata)
+    with pytest.raises(sk.DomainError, match=r"^stratum 'e': its vertices must be a tuple$"):
+        m.replace(strata=strata)
+    h = sk.SeriesPair(*(sk.Support("e", ("A", "B"), frozenset({(0, 0)})) for _ in range(2)))
+    listed = m.stratum("e").replace(vertices=["A", "B"], horizontal=h)
+    with pytest.raises(sk.DomainError, match=r"^stratum 'e': its vertices must be a tuple$"):
+        m.replace(strata=tuple(listed if s.id == "e" else s for s in m.strata))
+
+
 def test_face_walks():
     m = triangle()
     assert sk.face(m, "s_A_B_C", ["A", "B"]) == "s_A_B"

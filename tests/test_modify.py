@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,9 @@ import skelkit as sk
 import subdivide_oracle
 import transfer_oracle
 from skelkit.model import _Complex
-from skelkit.modify import _apply_step, _exc_ids, _reduction_length, _scaled, _subdivide
+from skelkit.modify import (
+    _apply_step, _exc_ids, _reduction_length, _scaled, _shape, _subdivide,
+)
 from skelkit.series import _antichain, _pullback
 from conftest import (
     KODAIRA_NAMES, load_bundled, random_complex_model, random_graph_model, random_point,
@@ -81,6 +84,19 @@ def test_blowup_center_restrictions():
     single = sk.graph_model(sk.KIND_SNCD, 1, 2, [("A", "A", 1, 1)], [])
     with pytest.raises(sk.UnsupportedCenterError):
         sk.blowup_stratum(single, "v_A")
+
+
+def test_a_center_that_repeats_a_vertex_is_refused():
+    # a model keeps such a stratum and only validate reports it; the kernel,
+    # which reads the center by positions, refuses it at every step
+    m = triangle()
+    bad = m.replace(strata=tuple(
+        s.replace(vertices=("A", "B", "A"), face_map={"A": "s_A_B", "B": "s_A_C"})
+        if s.id == "s_A_B_C" else s for s in m.strata))
+    with pytest.raises(sk.DomainError, match="^stratum 's_A_B_C' repeats a vertex$"):
+        sk.blowup_stratum(bad, "s_A_B_C")
+    with pytest.raises(sk.DomainError, match="^stratum 's_A_B_C' repeats a vertex$"):
+        _subdivide(_Complex(bad), "s_A_B_C", "exc1", 3)
 
 
 def test_blowup_point_restrictions():
@@ -459,6 +475,27 @@ def test_subdivide_matches_the_face_walk_reference(rng):
         model = _with_taken_names(rng, model)
     assert sk.validate(model).ok
     _assert_kernel_matches_the_reference(rng, model)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("center", ["stratum", "point"])
+def test_the_shape_table_lists_what_the_combinations_do(r, center):
+    # the per-shape table of positions, read off a center J, gives the subsets,
+    # their facets and the vertices J - A in the order a direct listing does
+    J = tuple(f"V{i}" for i in range(r))
+    largest = r - 1 if center == "stratum" else r
+    direct = [A for k in range(largest + 1) for A in combinations(J, k)]
+    shape = _shape(r, largest)
+    assert _shape(r, largest) is shape
+    assert [tuple(J[p] for p in P) for P, _, _, _ in shape] == direct
+    for A, (P, facets, up, x) in zip(direct, shape):
+        assert [(J[a], direct[i]) for a, i in facets] == [
+            (a, tuple(v for v in A if v != a)) for a in A]
+        dropped = []  # the chain the kernel reads faces along, from J down to A
+        while x is not None:
+            dropped.append(J[x])
+            up, x = (None, None) if up == len(shape) else shape[up][2:]
+        assert dropped[::-1] == [v for v in J if v not in A]
 
 
 def _simplex_with_a_general_den(rng):

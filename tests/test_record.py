@@ -130,6 +130,45 @@ def test_a_record_keeps_the_frozen_dataclass_contract(cls):
             call()
 
 
+@pytest.mark.parametrize("cls", [sk.Stratum, sk.Support, sk.SeriesPair],
+                         ids=lambda cls: cls.__name__)
+def test_the_unchecked_build_gives_the_constructors_record(cls):
+    # the blow-up kernel builds these kinds through _unchecked, skipping the
+    # constructor's checks; the record must be the one the constructor builds
+    made = RECORDS[cls][0]()
+    built = cls._unchecked()(*_values(made))
+    assert type(built) is cls and built == made and made == built and not built != made
+    assert repr(built) == repr(made) and built.replace() == made
+    if cls in HASHABLE:
+        assert hash(built) == hash(made)
+    with pytest.raises(AttributeError, match="cannot assign"):
+        built.id = "changed"
+    assert pickle.loads(pickle.dumps(built)) == made
+
+
+def test_the_kernel_builds_its_records_as_the_constructors_would():
+    # every stratum a reduction through expansion data builds, with its pair and
+    # supports, equals, hashes and prints like its rebuild through the constructors
+    comps = [("A", "A", 2, 2), ("B", "B", 1, 2), ("C", "C", 2, 3)]
+    m = sk.full_complex_model(sk.KIND_SNCD, 1, comps, [["A", "B", "C"]])
+    vs = ("A", "B", "C")
+    pair = sk.SeriesPair(sk.Support("s_A_B_C", vs, frozenset({(2, 1, 2), (1, 2, 2), (1, 1, 3)})),
+                         sk.Support("s_A_B_C", vs, frozenset({(0, 0, 0)})))
+    m = m.replace(strata=tuple(s.replace(horizontal=pair) if s.id == "s_A_B_C" else s
+                               for s in m.strata))
+    x = sk.SkeletonPoint("s_A_B_C", {"A": F(1, 39), "B": F(7, 39), "C": F(15, 39)})
+    final = sk.reduce_to_divisorial(m, x)[0]
+    built = [s for s in final.strata if s.horizontal is not None and s.id != "s_A_B_C"]
+    assert len(built) > 20
+    for s in built:
+        h = s.horizontal
+        supports = [sk.Support(f.stratum, f.vertices, f.exponents) for f in (h.num, h.den)]
+        again = sk.Stratum(s.id, s.vertices, s.face_map, s.touches_zero, s.touches_pole,
+                           sk.SeriesPair(*supports))
+        assert s == again and repr(s) == repr(again)
+        assert hash(h) == hash(again.horizontal) and hash(h.num) == hash(supports[0])
+
+
 @pytest.mark.parametrize("cls", DEFAULTS, ids=lambda cls: cls.__name__)
 def test_a_mutable_default_is_fresh_per_instance(cls):
     build, defaulted = DEFAULTS[cls]
