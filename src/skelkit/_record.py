@@ -51,7 +51,8 @@ class Record:
 
     def __init_subclass__(cls):
         cls._fields += tuple(n for n in cls.__dict__.get("__slots__", ()) if n != "__dict__")
-        cls._key = attrgetter(*cls._fields)  # a lone field comes back bare
+        key = attrgetter(*cls._fields)  # a lone field comes back bare, so it is wrapped
+        cls._key = staticmethod(lambda record: (key(record),)) if len(cls._fields) == 1 else key
         cls._stores = tuple(getattr(cls, n).__set__ for n in cls._fields)
 
     def __init__(self, *values, **named):
@@ -107,16 +108,13 @@ class Record:
     def __hash__(self):
         return hash(self._key(self))
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __repr__(self):
-        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key(self)))
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._key(self)
 
     def replace(self, **changes):
         """A copy with the given fields changed, built through the checking constructor."""
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+        return type(self)(**dict(zip(self._fields, self._key(self)), **changes))

@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from ._record import Record
-from .errors import DomainError, _echo
+from .errors import DomainError, _echo, _ids
 from .series import _antichain
 
 KIND_SNCD = "sncd-over-dvr"
@@ -83,8 +83,8 @@ class FormData(Record):
     mu must cover every component; flag maps may be partial (missing
     strata default to off) but must satisfy the same monotonicity as
     stratum flags: a face of a stratum with a flag off has it off too.
-    `essential._check_form` checks a form's ids, degree and flags
-    against a valid model.
+    `_check_form` checks a form's ids, degree and flags against a valid
+    model; `SncdModel._form` is a model's own data as a form.
     """
 
     __slots__ = ("m", "mu", "touches_zero", "touches_pole")
@@ -124,7 +124,7 @@ class SncdModel(Record):
     compare equal and serialization is deterministic regardless of
     construction order.  Building one raises DomainError, naming the stratum, unless
     its vertices are a tuple and its expansion is written on its id and vertices,
-    in their order.  The instance dict holds the lazy id maps and coface index.
+    in their order.  The instance dict holds the lazy id maps, coface index and form.
     """
 
     __slots__ = ("kind", "m", "ambient_dim", "components", "strata", "__dict__")
@@ -163,6 +163,18 @@ class SncdModel(Record):
             for fid in s.face_map.values():
                 index.setdefault(fid, set()).add(s.id)
         return {fid: frozenset(up) for fid, up in index.items()}
+
+    @cached_property
+    def _form(self) -> FormData:
+        """The model's m, mu and flags as a form, built on first use; a flag map also
+        covers each expansion that bends as the flag would, with its cofaces."""
+        flags = ("touches_zero", "touches_pole")
+        on = {flag: {s.id: True for s in self.strata if getattr(s, flag)} for flag in flags}
+        for s in filter(attrgetter("horizontal"), self.strata):  # those with expansion data
+            for flag, ids in on.items():
+                if not getattr(s, flag) and _bends(s, flag):
+                    ids.update(dict.fromkeys(cofaces(self, s.id), True))
+        return FormData(self.m, {c.id: c.mu for c in self.components}, **on)
 
     def component(self, comp_id: str) -> PrimeComponent:
         try:
@@ -444,6 +456,29 @@ def validate(model: SncdModel) -> ValidationReport:
                     f"{lo_num} - {lo_den}, declared weight datum needs {expected}",
                 )
     return ValidationReport(tuple(out))
+
+
+def _check_form(model: SncdModel, form: FormData):
+    """Check a form's ids, degree and flags against a valid model, as validate would."""
+    comp_ids, strata_ids = model._components_by_id.keys(), model._strata_by_id.keys()
+    flagged = form.touches_zero.keys() | form.touches_pole.keys()
+    for problem, ids in (
+        ("gives no weight datum for components", comp_ids - form.mu.keys()),
+        ("gives weight data for unknown components", form.mu.keys() - comp_ids),
+        ("sets flags on unknown strata", flagged - strata_ids),
+    ):
+        if ids:
+            raise DomainError(f"form {problem} {_ids(ids)}")
+    out = list(_degree_violations(model.kind, form.m))  # what validate reports, in its order
+    flags = (("touches_zero", form.touches_zero), ("touches_pole", form.touches_pole))
+    if any(any(on.values()) for _, on in flags):  # with every flag off there is no break
+        for sid, faces in _face_edges(model, model._strata_by_id):
+            for tid in faces:
+                for flag, on in flags:
+                    if on.get(tid) and not on.get(sid):
+                        out.append(Violation(CODE_FLAG_MONOTONICITY, _flag_break(sid, flag, tid)))
+    if out:
+        raise DomainError(f"form data breaks the model: {ValidationReport(tuple(out))}")
 
 
 def _degree_violations(kind: str, m: int) -> Iterator[Violation]:

@@ -185,7 +185,7 @@ def load_model(path) -> SncdModel:
 def load_form(path) -> FormData:
     """Read a form document; its shapes are checked here.
 
-    `essential._check_form` checks its ids, degree and flags against a valid model.
+    `model._check_form` checks its ids, degree and flags against a valid model.
     """
     where = str(path)
     doc = _json(_read(path), f"{path}: ")

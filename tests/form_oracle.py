@@ -1,4 +1,4 @@
-"""The form overlay that `essential._check_form` replaced on the skeleton path, kept verbatim.
+"""The form overlay that `model._check_form` replaced on the skeleton path, kept verbatim.
 
 `skelkit.essential` checks a form against a valid model and reads `mu`
 and the flags straight from it; this reference builds the overlaid

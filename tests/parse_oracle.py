@@ -153,7 +153,7 @@ def _read(path) -> str:
 def load_form(path) -> FormData:
     """Read a form document; its shapes are checked here.
 
-    `essential._check_form` checks its ids, degree and flags against a valid model.
+    `model._check_form` checks its ids, degree and flags against a valid model.
     """
     doc, where = _json(_read(path), f"{path}: "), str(path)
     _expect(isinstance(doc, dict), "form document must be a JSON object", where)

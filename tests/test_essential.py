@@ -143,6 +143,13 @@ def _expansion_model(rng):
     return sk.SncdModel(model.kind, 1, model.ambient_dim, comps, strata), kinds
 
 
+def _outcome(fn):
+    try:
+        return fn()
+    except sk.DomainError as exc:
+        return ("DomainError", str(exc))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_the_skeleton_of_expansion_models_holds_the_minimum(rng):
@@ -153,6 +160,8 @@ def test_the_skeleton_of_expansion_models_holds_the_minimum(rng):
     shapes = {"monomial": sk.CLASS_AFFINE, "num": sk.CLASS_CONCAVE, "den": sk.CLASS_CONVEX}
     assert {sid: sk.classify_face(model, sid) for sid in kinds} == {
         sid: shapes[kind] for sid, kind in kinds.items()}
+    for query in (sk.min_weight, sk.ks_skeleton):  # the model's own form reads the same
+        assert _outcome(lambda: query(model)) == _outcome(lambda: query(model, model._form))
     if "den" in kinds.values():
         with pytest.raises(sk.DomainError, match="poles"):
             sk.min_weight(model)

@@ -3,9 +3,10 @@
 Each example takes a bundled model or a random `complexes` model (of
 either kind) and a random form: ties in `mu`, zero and negative `mu`,
 upward-closed or arbitrary zero and pole flags with explicit `False`
-entries, unknown and missing ids and `m` in {0, 1, 2}.  The library path
-reads the form straight off the model; the reference in `form_oracle`
-builds the overlaid model and validates it.  Both must give the same
+entries, unknown and missing ids and `m` in {0, 1, 2}; or the model's own
+data as a form, `SncdModel._form`.  The library path reads the form
+straight off the model; the reference in `form_oracle` builds the
+overlaid model and validates it.  Both must give the same
 minimum and skeleton, or raise `DomainError` with the same message.
 """
 
@@ -64,6 +65,8 @@ def _flags(rng, model):
 
 
 def _form(rng, model):
+    if rng.random() < 0.1:  # the model's own data, bends included, as a form
+        return model._form
     return sk.FormData(rng.choice([0, 1, 1, 1, 2]), _mu(rng, model), _flags(rng, model),
                        _flags(rng, model) if rng.random() < 0.3 else {})
 

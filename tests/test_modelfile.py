@@ -231,12 +231,23 @@ _RANKS = {
 }
 
 
+# validate's rules that `model._check_form` applies to a form too; no other module restates them
+_MODEL_ONLY = {"_degree_violations", "_flag_break", "CODE_FLAG_MONOTONICITY"}
+
+
 def test_each_module_imports_only_lower_ranks():
     package = Path(__file__).resolve().parents[1] / "src" / "skelkit"
     assert {p.stem for p in package.glob("*.py")} == {*_RANKS, "__init__"}
     for name, rank in _RANKS.items():
         above = {m for m in _package_imports(package / f"{name}.py") if _RANKS[m] >= rank}
         assert not above, (name, above)
+    for path in package.glob("*.py"):
+        if path.stem != "model":
+            tree = ast.parse(path.read_text())
+            named = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     for a in node.names}
+            named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert not named & _MODEL_ONLY, (path.name, named & _MODEL_ONLY)
 
 
 def _owned(node, owner=None):
