@@ -8,7 +8,7 @@ new cone of strata onto the existing complex without removing anything.
 Both run through one kernel, `_subdivide`, on the stratum J spans.  Its
 mu_e is N_e times the weight at e's divisorial point, plus m*(c - |J|):
 sum(mu_j) + m*(c - |J|) without expansion data.  Expansion data is
-pulled back onto the new strata.
+pulled back onto a new stratum unless it weighs there as the mu_v do.
 
 Both transforms record a trace: the centers, the new vertices, how the
 removed strata were replaced, and the multiplicity decomposition of
@@ -122,7 +122,7 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupS
     named first, so face maps can point forward, and built from the largest
     A down: the face on A + L is one face-map step from the face on A + L
     plus the last vertex of J - A, the walk `face` makes without its checks.
-    A coface's expansion is pulled back by one `_pullback` per coface.
+    A coface's expansion is pulled back by one `_pullback`, which reads mu_e.
     """
     sigma = model.stratum(sigma_id)
     if codim < 2:
@@ -130,7 +130,7 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupS
             f"stratum {sigma_id!r} is a single component; blowing up a divisor "
             f"is an isomorphism and changes no complex"
         )
-    J, strata, jacobian = sigma.vertices, model._strata_by_id, model.m * (codim - 1)
+    J, strata, m = sigma.vertices, model._strata_by_id, model.m
     if len(set(J)) != len(J):
         raise DomainError(f"stratum {sigma_id!r} repeats a vertex")
     if codim == len(J):  # the closure: its star goes, for cones over proper subsets
@@ -158,16 +158,18 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupS
         replacements[tid] = dict(zip(subsets, names))
 
     new_strata, rows = [], len(shape) - 1
+    mu_e = _weight_on(model, sigma, dict.fromkeys(J, 1)) + m * (codim - len(J))
     for tid in coface_ids:
         tau, (names, verts_of) = strata[tid], named[tid]
         zero, pole, fmap = tau.touches_zero, tau.touches_pole, tau.face_map
         theirs = [(l, named[fmap[l]][0]) for l in tau.vertices if l not in J]
         if (h := tau.horizontal) is not None:  # written in tau's vertex order
             at = {v: i for i, v in enumerate(tau.vertices)}
-            pullback, on_sigma = _pullback(h, [at[j] for j in J], jacobian), tau.vertices == J
+            pullback = _pullback(h, [at[j] for j in J], m * (codim - 1), mu_e - m,
+                                 [model.component(v).mu - m for v in tau.vertices])
         faces = [tid] * (rows + 2)
         for k in range(rows, -1, -1):  # each face is read off a larger subset's
-            P, facets, up, x = shape[k]
+            _, facets, up, x = shape[k]
             new_id, verts = names[k], verts_of[k]
             fm: dict[str, str] = {}
             if k or theirs:
@@ -178,11 +180,9 @@ def _subdivide(model: _Complex, sigma_id: str, e_id: str, codim: int) -> BlowupS
                     fm[J[a]] = names[i]
                 for l, them in theirs:
                     fm[l] = them[k]
-            pair = None if h is None else pullback(
-                new_id, verts, P if on_sigma else [at[v] for v in verts[1:]])
+            pair = None if h is None else pullback(new_id, verts, [at[v] for v in verts[1:]])
             new_strata.append(_stratum(new_id, verts, fm, zero, pole, pair))
 
-    mu_e = _weight_on(model, sigma, dict.fromkeys(J, 1)) + model.m * (codim - len(J))
     model.add_vertex(e_id, J, mu_e, removed, new_strata)
     return BlowupStep(sigma_id, J, codim, e_id, replacements if removed else {})
 

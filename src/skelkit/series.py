@@ -6,14 +6,14 @@ entries.  The monomial valuation attached to a weight tuple alpha
 is the minimum of the linear form alpha . beta over the support, which
 only depends on the dominance-minimal exponents.  A blow-up pulls an
 expansion back with the center sums taken once per coface (`_pullback`),
-then per new stratum a projection into records built without checks.
+then per new stratum a projection into checked records, or nothing where
+the projected pair would weigh as the vertices' own data do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from operator import le
+from operator import le, sub
 
 from ._record import Record
 from .errors import DomainError
@@ -137,27 +137,25 @@ def _antichain(exponents) -> frozenset[tuple[int, ...]]:
     return frozenset(kept)
 
 
-_zeros = cache(lambda n: frozenset([(0,) * n]))
-_pair, _support = SeriesPair._unchecked(), Support._unchecked()
-
-
-def _pullback(h: SeriesPair, center_at, shift: int):
+def _pullback(h: SeriesPair, center_at, shift: int, excess_e: int, excess):
     """Pull an expansion back through a blow-up: a map from a new stratum to its pair.
 
     An exponent beta becomes (its sum at center_at, plus shift on num) at the
     first, exceptional vertex, then beta at keep_at.  The sums are taken once
-    per call; a stratum projects, drops dominated vectors, and builds unchecked
-    records: entries are checked ints plus shift, num and den share vertices.
+    per call; a stratum projects and drops dominated vectors.  Its pair is None
+    when num and den are single vectors a and b with a - b the vertices' mu - m,
+    excess_e at the exceptional vertex and excess[p] at position p: the weight
+    is then the plain sum of alpha_v * mu_v, and the pair bends nothing.
     """
     num = [(sum([beta[p] for p in center_at]) + shift, beta) for beta in h.num.exponents]
-    den = None if h.den.exponents == _zeros(len(h.den.vertices)) else [  # None: all zero, shared
-        (sum([beta[p] for p in center_at]), beta) for beta in h.den.exponents]
+    den = [(sum([beta[p] for p in center_at]), beta) for beta in h.den.exponents]
 
-    def onto(stratum: str, vertices: tuple[str, ...], keep_at) -> SeriesPair:
-        return _pair(
-            _support(stratum, vertices,
-                     _antichain([(c, *[beta[p] for p in keep_at]) for c, beta in num])),
-            _support(stratum, vertices, _zeros(len(vertices)) if den is None else
-                     _antichain([(c, *[beta[p] for p in keep_at]) for c, beta in den])))
+    def onto(stratum: str, vertices: tuple[str, ...], keep_at) -> SeriesPair | None:
+        a, b = (_antichain([(c, *[beta[p] for p in keep_at]) for c, beta in side])
+                for side in (num, den))
+        if len(a) == len(b) == 1 and list(map(sub, *a, *b)) == [
+                excess_e, *[excess[p] for p in keep_at]]:
+            return None
+        return SeriesPair(Support(stratum, vertices, a), Support(stratum, vertices, b))
 
     return onto

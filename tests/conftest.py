@@ -32,10 +32,20 @@ BUNDLED_NAMES = [
     "reduced_fiber",
 ]
 KODAIRA_NAMES = [n for n in BUNDLED_NAMES if n.startswith("kodaira_")]
+# models with expansion data, kept beside the goldens: the edge_h and tri_h cells of
+# bench/reduce_chain.py, a triangle whose num keeps bending through a reduction and
+# one whose den bends, so that `ks` refuses it
+EXPANSION_NAMES = ["edge_h", "tri_h", "tri_num_bends", "tri_den_bends"]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def bundled_path(name):
     return resources.files("skelkit").joinpath(f"data/{name}.model")
+
+
+def model_path(name):
+    """The file of a bundled model or of one of the expansion models."""
+    return GOLDEN / f"{name}.model" if name in EXPANSION_NAMES else bundled_path(name)
 
 
 def load_bundled(name):
@@ -125,11 +135,11 @@ def _normalized(model, vertices, parts):
 
 
 def cli_runs(name):
-    """(label, argv) for every subcommand on one bundled model, its top stratum and two forms.
+    """(label, argv) for every subcommand on one model, its top stratum and two forms.
 
     argv holds the placeholders {model}, {form0} and {form1}.
     """
-    model = load_bundled(name)
+    model = sk.parse_model(model_path(name).read_text())
     top = min(model.strata, key=lambda s: (-s.r, s.id))
     verts = top.vertices
     skewed = _normalized(model, verts, range(1, len(verts) + 1))
@@ -157,7 +167,7 @@ def cli_runs(name):
 def write_forms(name, workdir):
     """Write two forms over the model's components (mu cycling through 1..3 and 1..2);
     returns the placeholder substitutions {form0} and {form1}."""
-    comps = [c.id for c in load_bundled(name).components]
+    comps = [c.id for c in sk.parse_model(model_path(name).read_text()).components]
     paths = {}
     for k, period in enumerate((3, 2)):
         mu = {c: (i + k) % period + 1 for i, c in enumerate(comps)}

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import skelkit as sk
 from skelkit.cli import main
-from conftest import BUNDLED_NAMES, bundled_path, cli_runs, load_bundled, run_cli, write_forms
+from conftest import (
+    BUNDLED_NAMES, EXPANSION_NAMES, bundled_path, cli_runs, load_bundled, model_path, run_cli,
+    write_forms,
+)
 
 
 def run(capsys, *argv):
@@ -591,14 +595,46 @@ RAW_MUTATIONS = {
 }
 
 
+def _shifted(doc, h):
+    # every exponent up by 10**40: the orders differ as before, so the model stays valid
+    for side in ("num", "den"):
+        h[side] = [[b + 10**40 for b in beta] for beta in h[side]]
+
+
+def _bending_den(doc, h):
+    # two incomparable minima with den's per-vertex minima: valid, but ks refuses it
+    low = [min(column) for column in zip(*h["den"])]
+    h["den"] = [[b + (i == k) for i, b in enumerate(low)] for k in (0, 1)]
+
+
+# damage to the first expansion block of a model document (doc, h)
+EXPANSION_MUTATIONS = {
+    "wrong-arity": lambda doc, h: h["num"][0].append(0),
+    "negative-entry": lambda doc, h: h["num"][0].__setitem__(0, -1),
+    "boolean-entry": lambda doc, h: h["den"][0].__setitem__(0, True),
+    "empty-num": lambda doc, h: h.update(num=[]),
+    "empty-den": lambda doc, h: h.update(den=[]),
+    "log-resolution": lambda doc, h: doc.update(kind=sk.KIND_LOG_RESOLUTION),
+    "huge-integers": _shifted,
+    "bending-den": _bending_den,
+}
+# the model still validates after these, so not every command fails on it
+VALID_AFTER = {"huge-integers", "bending-den"}
+
+
 def _mutated_model_bytes(name, mutation, rng):
-    text = bundled_path(name).read_text()
+    text = model_path(name).read_text()
     if mutation in RAW_MUTATIONS:
         return RAW_MUTATIONS[mutation](text)
+    if mutation in EXPANSION_MUTATIONS:
+        doc = json.loads(text)
+        EXPANSION_MUTATIONS[mutation](
+            doc, next(s["horizontal"] for s in doc["strata"] if "horizontal" in s))
+        return json.dumps(doc).encode()
     if mutation == "truncated":
         text = text[: rng.randrange(len(text) - 1)]  # always cuts the closing brace
     elif mutation is not None:
-        text = sk.serialize_model(MUTATIONS[mutation][0](load_bundled(name)))
+        text = sk.serialize_model(MUTATIONS[mutation][0](sk.parse_model(text)))
     return text.encode()
 
 
@@ -636,9 +672,16 @@ FORM_MUTATIONS = {
 }
 
 
+def _on_every_expansion_model(test):
+    """An explicit example per expansion model and expansion mutation."""
+    for name, mutation in product(EXPANSION_NAMES, sorted(EXPANSION_MUTATIONS)):
+        test = example(name, mutation, None, None, random.Random(0))(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(BUNDLED_NAMES),
+    st.sampled_from(BUNDLED_NAMES + EXPANSION_NAMES),
     st.sampled_from([None, "truncated", *sorted(MUTATIONS), *sorted(RAW_MUTATIONS)]),
     st.sampled_from([None, *sorted(FORM_MUTATIONS), *sorted(RAW_MUTATIONS)]),
     st.sampled_from([None, *sorted(ARGV_MUTATIONS)]),
@@ -653,6 +696,7 @@ FORM_MUTATIONS = {
 @example("edge_23", None, None, "exponent-rational", random.Random(0))
 @example("edge_23", None, None, "long-rationals", random.Random(0))
 @example("edge_23", None, None, "unwritable-output", random.Random(0))
+@_on_every_expansion_model
 def test_every_subcommand_survives_mutated_input(
     name, model_mutation, form_mutation, argv_mutation, rng
 ):
@@ -660,11 +704,12 @@ def test_every_subcommand_survives_mutated_input(
     broken form fails every command that reads it and a broken argument list
     fails its command."""
     with tempfile.TemporaryDirectory() as workdir:
-        model_path = Path(workdir) / f"{name}.model"
-        model_path.write_bytes(_mutated_model_bytes(name, model_mutation, rng))
+        written = Path(workdir) / f"{name}.model"
+        written.write_bytes(_mutated_model_bytes(name, model_mutation, rng))
         # a model without face maps has no face to remove
-        broken = model_path.read_bytes() != bundled_path(name).read_bytes()
-        subst = {"{model}": str(model_path), **write_forms(name, workdir)}
+        broken = (written.read_bytes() != model_path(name).read_bytes()
+                  and model_mutation not in VALID_AFTER)
+        subst = {"{model}": str(written), **write_forms(name, workdir)}
         for form_path in map(Path, (subst["{form0}"], subst["{form1}"]) if form_mutation else ()):
             text = form_path.read_text()
             if form_mutation in RAW_MUTATIONS:

@@ -7,25 +7,26 @@ They pin the command line's output across refactors of the library.
 tests/golden/broken_strata.model is reduced_fiber broken on ten strata and
 one component; broken_strata.json pins `skelkit validate`'s whole report on
 it, so the order of the violations is pinned too, not only their multiset;
-the script below leaves it as it is.  Regenerate the others only for an
+the script below leaves it as it is.  The expansion models (conftest's
+EXPANSION_NAMES) are files here too, so that every subcommand also runs on
+`horizontal` data read from a file.  Regenerate the others only for an
 intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
-from conftest import BUNDLED_NAMES, bundled_path, cli_runs, run_cli, write_forms
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
+from conftest import (
+    BUNDLED_NAMES, EXPANSION_NAMES, GOLDEN, cli_runs, model_path, run_cli, write_forms,
+)
 
 
 def capture(name, workdir):
     """Run every golden command in process; label -> {argv, exit, stdout, stderr}."""
-    subst = {"{model}": str(bundled_path(name)), **write_forms(name, workdir)}
+    subst = {"{model}": str(model_path(name)), **write_forms(name, workdir)}
     records = {}
     for label, argv in cli_runs(name):
         code, out, err = run_cli([subst.get(a, a) for a in argv])
@@ -33,7 +34,7 @@ def capture(name, workdir):
     return records
 
 
-@pytest.mark.parametrize("name", BUNDLED_NAMES)
+@pytest.mark.parametrize("name", BUNDLED_NAMES + EXPANSION_NAMES)
 def test_cli_output_matches_golden(name, tmp_path):
     stored = json.loads((GOLDEN / f"{name}.json").read_text())
     fresh = capture(name, tmp_path)
@@ -54,6 +55,6 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
-        for name in BUNDLED_NAMES:
+        for name in BUNDLED_NAMES + EXPANSION_NAMES:
             (GOLDEN / f"{name}.json").write_text(json.dumps(capture(name, workdir), indent=2) + "\n")
             print(f"wrote golden/{name}.json")
